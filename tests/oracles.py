@@ -1,7 +1,7 @@
 """Independent oracles, kept free of the library's own code paths.
 
 Plain coefficient-list polynomial division and brute-force enumeration,
-used to cross-check the semigroup construction and the GF(2) solver.
+used to cross-check the semigroup construction and the GF(2) routines.
 """
 
 from __future__ import annotations
@@ -67,3 +67,20 @@ def brute_solve_gf2(rows: list[list[int]], rhs: list[int]) -> list[int] | None:
         ):
             return x
     return None
+
+
+def brute_span(columns: list[int]) -> dict[int, int]:
+    """Every XOR of a subset of columns, mapped to the smallest subset mask giving it."""
+    span: dict[int, int] = {}
+    for subset in range(1 << len(columns)):
+        total = 0
+        for j, col in enumerate(columns):
+            if (subset >> j) & 1:
+                total ^= col
+        span.setdefault(total, subset)
+    return span
+
+
+def brute_rank(columns: list[int]) -> int:
+    """log2 of the span's size."""
+    return len(brute_span(columns)).bit_length() - 1
