@@ -1,13 +1,66 @@
 """GF(2) linear algebra on Python-int bitmasks.
 
-Vectors are ints; bit i is coordinate i and XOR is addition.  All routines
-are deterministic for a fixed input order, which the rest of the package
-relies on for reproducible output.
+Vectors are ints; bit i is coordinate i and XOR is addition.  Every routine
+here runs on one elimination core, the pivot table: it maps a leading bit to
+a (vector, combination) pair, where the combination is a mask over the input
+columns that XOR to the vector.  ``reduce`` clears every pivot bit of a
+vector, highest first; ``insert`` reduces a vector and stores what is left.
+
+The results do not depend on how the table was filled or in which order a
+reduction clears its bits:
+
+* a solve or kernel combination is the unique expression over the columns
+  that were independent of the columns before them, since the stored
+  vectors are combinations of exactly those columns and are independent;
+* the residue of ``reduce`` is the unique element of the coset
+  vector + span with every pivot bit clear, and that element is the coset's
+  minimum, because adding any nonzero span element sets its leading bit,
+  which is a pivot bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+
+
+class PivotTable:
+    """Echelon basis keyed by leading bit, each row with its combination."""
+
+    __slots__ = ("rows", "bits")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
+        self.bits = 0  # mask of the leading bits in rows
+
+    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
+        """Clear every pivot bit of vector; returns (residue, combination)."""
+        rows, bits = self.rows, self.bits
+        hits = vector & bits
+        while hits:
+            pv, pc = rows[hits.bit_length() - 1]
+            vector ^= pv
+            combo ^= pc
+            hits = vector & bits
+        return vector, combo
+
+    def insert(self, vector: int, combo: int = 0) -> tuple[int, int]:
+        """Reduce vector and store the residue when it is nonzero."""
+        vector, combo = self.reduce(vector, combo)
+        if vector:
+            lead = vector.bit_length() - 1
+            self.rows[lead] = (vector, combo)
+            self.bits |= 1 << lead
+        return vector, combo
+
+
+def _table(columns: Iterable[int]) -> tuple[PivotTable, list[int]]:
+    """Pivot table of the columns, and the combinations that reduced to zero."""
+    table, kernel = PivotTable(), []
+    for j, col in enumerate(columns):
+        residue, combo = table.insert(col, 1 << j)
+        if not residue:
+            kernel.append(combo)
+    return table, kernel
 
 
 def solve_masks(columns: Sequence[int], target: int) -> int | None:
@@ -16,86 +69,20 @@ def solve_masks(columns: Sequence[int], target: int) -> int | None:
     Returns the subset as a bitmask over column indices, or None when the
     target lies outside the span.
     """
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
-
-    def reduce(v: int, combo: int) -> tuple[int, int]:
-        while v:
-            h = v.bit_length() - 1
-            if h not in pivots:
-                break
-            pv, pc = pivots[h]
-            v ^= pv
-            combo ^= pc
-        return v, combo
-
-    for j, col in enumerate(columns):
-        v, combo = reduce(col, 1 << j)
-        if v:
-            pivots[v.bit_length() - 1] = (v, combo)
-    residue, combo = reduce(target, 0)
+    residue, combo = _table(columns)[0].reduce(target)
     return combo if residue == 0 else None
 
 
 def rank_masks(vectors: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            h = v.bit_length() - 1
-            if h not in pivots:
-                pivots[h] = v
-                break
-            v ^= pivots[h]
-    return len(pivots)
+    return len(_table(vectors)[0].rows)
 
 
 def kernel_masks(columns: Sequence[int]) -> list[int]:
     """Basis of {x : sum of selected columns = 0}, as masks over column indices."""
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-    for j, col in enumerate(columns):
-        v, combo = col, 1 << j
-        while v:
-            h = v.bit_length() - 1
-            if h not in pivots:
-                break
-            pv, pc = pivots[h]
-            v ^= pv
-            combo ^= pc
-        if v:
-            pivots[v.bit_length() - 1] = (v, combo)
-        else:
-            kernel.append(combo)
-    return kernel
+    return _table(columns)[1]
 
 
-def echelon_masks(vectors: Iterable[int]) -> list[int]:
-    """Fully reduced echelon basis: pivot bits are unique to their vector."""
-    basis: dict[int, int] = {}  # pivot bit -> vector
-    for v in vectors:
-        for h in sorted(basis, reverse=True):
-            if (v >> h) & 1:
-                v ^= basis[h]
-        if v:
-            h = v.bit_length() - 1
-            for hb in list(basis):
-                if (basis[hb] >> h) & 1:
-                    basis[hb] ^= v
-            basis[h] = v
-    return [basis[h] for h in sorted(basis, reverse=True)]
-
-
-def coset_minimum(vector: int, reduced_basis: Iterable[int]) -> int:
-    """Smallest element of vector + span(reduced_basis).
-
-    Requires a fully reduced basis (echelon_masks output): clearing every
-    pivot bit then yields the unique, minimal coset representative.
-    """
-    for b in reduced_basis:
-        h = b.bit_length() - 1
-        if (vector >> h) & 1:
-            vector ^= b
-    return vector
-
-
-def in_span(vector: int, reduced_basis: Iterable[int]) -> bool:
-    return coset_minimum(vector, reduced_basis) == 0
+def coset_minima(vectors: Iterable[int], basis: Iterable[int]) -> list[int]:
+    """Smallest element of v + span(basis), for each v in vectors."""
+    table = _table(basis)[0]
+    return [table.reduce(v)[0] for v in vectors]

@@ -110,11 +110,8 @@ def hat_generator(complex: FilteredComplex) -> Cycle:
     kernel = gf2.kernel_masks(
         _column_boundary_masks(complex, level0, index_below)
     )
-    boundaries = gf2.echelon_masks(
-        _column_boundary_masks(complex, above, index0)
-    )
-    for combo in kernel:
-        rep = gf2.coset_minimum(combo, boundaries)
+    boundaries = _column_boundary_masks(complex, above, index0)
+    for rep in gf2.coset_minima(kernel, boundaries):
         if rep:
             terms = tuple(
                 (name, 0) for name in level0 if (rep >> index0[name]) & 1
