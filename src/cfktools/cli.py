@@ -25,7 +25,7 @@ from .doubles import (
     verify_splitting,
 )
 from .errors import CFKError, InvalidParameter, InvalidTorusParameters
-from .filtered import complex_from_json_dict, from_staircase, tensor, validate
+from .filtered import FilteredComplex, complex_from_json_dict, from_staircase, tensor, validate
 from .homology import d1_general, hat_homology_ranks
 from .laurent import alexander_torus
 from .staircase import (
@@ -55,10 +55,24 @@ def _parse_staircase(text: str) -> Staircase:
 
 
 def _torus_staircase(p: int, q: int) -> Staircase:
+    return staircase_from_alexander(alexander_torus(p, q))
+
+
+def _load_complex(path: str) -> FilteredComplex:
+    """Read, parse and validate the complex in a JSON file; any defect exits 1."""
     try:
-        return staircase_from_alexander(alexander_torus(p, q))
-    except InvalidTorusParameters as exc:
-        raise click.UsageError(str(exc))
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"unreadable JSON in {path}: {exc}")
+    try:
+        complex = complex_from_json_dict(data)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+    violation = validate(complex)
+    if violation:
+        raise click.ClickException(f"invalid complex: {violation}")
+    return complex
 
 
 def _knot_report(knot: str, stair: Staircase) -> dict:
@@ -98,7 +112,26 @@ def _report_text(report: dict) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-@click.group()
+class _Command(click.Command):
+    """Maps package errors to exit codes: bad parameters 2, the rest 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (InvalidParameter, InvalidTorusParameters) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except CFKError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+class _Group(click.Group):
+    """Every command and subgroup under it is a _Command or a _Group."""
+
+    command_class = _Command
+    group_class = type
+
+
+@click.group(cls=_Group)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON documents.")
 @click.pass_context
 def main(ctx: click.Context, as_json: bool) -> None:
@@ -133,43 +166,37 @@ def staircase(ctx: click.Context, steps: str) -> None:
 @click.pass_context
 def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
     """Build the double of T(2, 2M+1) and report on it."""
-    try:
-        complex = build_double_complex(m)
-    except InvalidParameter as exc:
-        raise click.UsageError(str(exc))
-    try:
-        report: dict = {
-            "knot": f"D(T(2,{2 * m + 1}))",
-            "generators": len(complex.generators),
-            "arrows": len(complex.arrows),
-            "valid": validate(complex) is None,
-            "hfk_ranks": [
-                {"alexander": a, "maslov": mm, "rank": r}
-                for (a, mm), r in sorted(hfk_hat_double(m).items(), reverse=True)
-            ],
-        }
-        lines = [
-            f"knot        {report['knot']}",
-            f"generators  {report['generators']}",
-            f"arrows      {report['arrows']}",
-            f"valid       {report['valid']}",
-            "hat ranks   (alexander, maslov) -> rank",
-        ]
-        for row in report["hfk_ranks"]:
-            lines.append(f"            ({row['alexander']},{row['maslov']}) -> {row['rank']}")
-        if verify:
-            split = verify_splitting(complex)
-            report["splitting"] = split.to_dict()
-            lines.append(
-                f"splitting   trefoil={split.trefoil_summand} "
-                f"acyclic_rest={split.acyclic_rest} components={list(split.component_sizes)}"
-            )
-        if delta2:
-            value = delta_double_double(m, via="both")
-            report["delta_double_double"] = value
-            lines.append(f"delta(D^2)  {value}")
-    except CFKError as exc:
-        raise click.ClickException(str(exc))
+    complex = build_double_complex(m)
+    report: dict = {
+        "knot": f"D(T(2,{2 * m + 1}))",
+        "generators": len(complex.generators),
+        "arrows": len(complex.arrows),
+        "valid": validate(complex) is None,
+        "hfk_ranks": [
+            {"alexander": a, "maslov": mm, "rank": r}
+            for (a, mm), r in sorted(hfk_hat_double(m).items(), reverse=True)
+        ],
+    }
+    lines = [
+        f"knot        {report['knot']}",
+        f"generators  {report['generators']}",
+        f"arrows      {report['arrows']}",
+        f"valid       {report['valid']}",
+        "hat ranks   (alexander, maslov) -> rank",
+    ]
+    for row in report["hfk_ranks"]:
+        lines.append(f"            ({row['alexander']},{row['maslov']}) -> {row['rank']}")
+    if verify:
+        split = verify_splitting(complex)
+        report["splitting"] = split.to_dict()
+        lines.append(
+            f"splitting   trefoil={split.trefoil_summand} "
+            f"acyclic_rest={split.acyclic_rest} components={list(split.component_sizes)}"
+        )
+    if delta2:
+        value = delta_double_double(m, via="both")
+        report["delta_double_double"] = value
+        lines.append(f"delta(D^2)  {value}")
     _emit(ctx, report, "\n".join(lines))
 
 
@@ -178,22 +205,8 @@ def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
 @click.pass_context
 def d1(ctx: click.Context, path: str) -> None:
     """Correction term of +1 surgery for a complex in a JSON file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"unreadable JSON in {path}: {exc}")
-    try:
-        complex = complex_from_json_dict(data)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    violation = validate(complex)
-    if violation:
-        raise click.ClickException(f"invalid complex: {violation}")
-    try:
-        value = d1_general(complex)
-    except CFKError as exc:
-        raise click.ClickException(str(exc))
+    complex = _load_complex(path)
+    value = d1_general(complex)
     report = {
         "file": path,
         "generators": len(complex.generators),
@@ -204,9 +217,14 @@ def d1(ctx: click.Context, path: str) -> None:
 
 
 @main.group()
-@click.pass_context
-def classify(ctx: click.Context) -> None:
+def classify() -> None:
     """Distinguishability of a knot's iterated doubles."""
+
+
+def _classify(ctx: click.Context, knot: str, stair: Staircase) -> None:
+    report = classify_iterates(stair).to_dict()
+    report["knot"] = knot
+    _emit(ctx, report, _classify_text(report))
 
 
 def _classify_text(report: dict) -> str:
@@ -231,13 +249,7 @@ def _classify_text(report: dict) -> str:
 @click.pass_context
 def classify_torus(ctx: click.Context, p: int, q: int) -> None:
     """Classify the double of the (P, Q) torus knot."""
-    stair = _torus_staircase(p, q)
-    try:
-        report = classify_iterates(stair).to_dict()
-    except CFKError as exc:
-        raise click.ClickException(str(exc))
-    report["knot"] = f"T({p},{q})"
-    _emit(ctx, report, _classify_text(report))
+    _classify(ctx, f"T({p},{q})", _torus_staircase(p, q))
 
 
 @classify.command("staircase")
@@ -246,12 +258,7 @@ def classify_torus(ctx: click.Context, p: int, q: int) -> None:
 def classify_staircase(ctx: click.Context, steps: str) -> None:
     """Classify the double of a staircase knot."""
     stair = _parse_staircase(steps)
-    try:
-        report = classify_iterates(stair).to_dict()
-    except CFKError as exc:
-        raise click.ClickException(str(exc))
-    report["knot"] = str(stair)
-    _emit(ctx, report, _classify_text(report))
+    _classify(ctx, str(stair), stair)
 
 
 @main.group()
@@ -259,17 +266,17 @@ def diagram() -> None:
     """Render a grid diagram to an SVG file."""
 
 
-def _write_svg(document: str, path: str) -> None:
+def _write_svg(complex: FilteredComplex, path: str, square: bool = False) -> None:
+    """Draw the complex, or its tensor square, to the SVG file at path."""
+    if square:
+        complex = tensor(complex, complex)
+    document = diagrams.svg_for_complex(complex)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
     except OSError as exc:
         raise click.ClickException(f"cannot write {path}: {exc}")
     click.echo(f"wrote {path}")
-
-
-def _maybe_square(complex, square: bool):
-    return tensor(complex, complex) if square else complex
 
 
 @diagram.command("torus")
@@ -279,8 +286,7 @@ def _maybe_square(complex, square: bool):
 @click.option("--tensor-square", is_flag=True, help="Draw the complex tensored with itself.")
 def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
     """Diagram of the (P, Q) torus knot complex."""
-    complex = _maybe_square(from_staircase(_torus_staircase(p, q)), tensor_square)
-    _write_svg(diagrams.svg_for_complex(complex), path)
+    _write_svg(from_staircase(_torus_staircase(p, q)), path, tensor_square)
 
 
 @diagram.command("staircase")
@@ -289,8 +295,7 @@ def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
 @click.option("--tensor-square", is_flag=True, help="Draw the complex tensored with itself.")
 def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
     """Diagram of a staircase complex."""
-    complex = _maybe_square(from_staircase(_parse_staircase(steps)), tensor_square)
-    _write_svg(diagrams.svg_for_complex(complex), path)
+    _write_svg(from_staircase(_parse_staircase(steps)), path, tensor_square)
 
 
 @diagram.command("double")
@@ -298,11 +303,7 @@ def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
 @click.option("--svg", "path", required=True, type=click.Path(dir_okay=False))
 def diagram_double(m: int, path: str) -> None:
     """Diagram of the double of T(2, 2M+1)."""
-    try:
-        complex = build_double_complex(m)
-    except CFKError as exc:
-        raise click.UsageError(str(exc))
-    _write_svg(diagrams.svg_for_complex(complex), path)
+    _write_svg(build_double_complex(m), path)
 
 
 @diagram.command("complex")
@@ -311,16 +312,7 @@ def diagram_double(m: int, path: str) -> None:
 @click.option("--tensor-square", is_flag=True, help="Draw the complex tensored with itself.")
 def diagram_complex(source: str, path: str, tensor_square: bool) -> None:
     """Diagram of a complex loaded from a JSON file."""
-    with open(source, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"unreadable JSON in {source}: {exc}")
-    try:
-        complex = complex_from_json_dict(data)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    _write_svg(diagrams.svg_for_complex(_maybe_square(complex, tensor_square)), path)
+    _write_svg(_load_complex(source), path, tensor_square)
 
 
 def _family_rows(family: str) -> tuple[list[str], list[dict]]:

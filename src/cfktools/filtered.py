@@ -377,14 +377,27 @@ def to_json_dict(complex: FilteredComplex) -> dict:
     }
 
 
+def _field(record: dict, key: str, kind: type):
+    """record[key], which must be exactly of type kind (so no bool for int)."""
+    value = record[key]
+    if type(value) is not kind:
+        raise ValueError(
+            f"malformed complex document: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def complex_from_json_dict(data: dict) -> FilteredComplex:
+    """Inverse of to_json_dict; names must be strings and gradings integers."""
     try:
         gens = [
-            Generator(str(g["name"]), int(g["alexander"]), int(g["maslov"]))
+            Generator(
+                _field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int)
+            )
             for g in data["generators"]
         ]
         arrows = [
-            Arrow(str(a["from"]), str(a["to"]), int(a["upower"]))
+            Arrow(_field(a, "from", str), _field(a, "to", str), _field(a, "upower", int))
             for a in data["arrows"]
         ]
     except (KeyError, TypeError) as exc:

@@ -106,6 +106,33 @@ class TestD1Command:
         assert result.exit_code == 1
         assert "invalid complex" in result.output
 
+    def test_fractional_upower_is_rejected(self, runner, tmp_path):
+        document = to_json_dict(from_staircase(Staircase((1, 1))))
+        document["arrows"][0]["upower"] = 1.9
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(document))
+        result = runner.invoke(main, ["d1", "--complex", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: malformed complex document: 'upower' must be int, got 1.9\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["d1", "--complex", "loose.json"], ["diagram", "complex", "loose.json", "--svg", "out.svg"]],
+)
+def test_loose_arrow_is_invalid_complex(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    document = to_json_dict(from_staircase(Staircase((1, 1))))
+    document["arrows"].append({"from": "s1", "to": "ghost", "upower": 0})
+    (tmp_path / "loose.json").write_text(json.dumps(document))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "Error: invalid complex: unknown-generator: arrow s1->ghost has a loose end\n"
+    )
+    assert not (tmp_path / "out.svg").exists()
+
 
 class TestClassify:
     def test_verdicts(self, runner):

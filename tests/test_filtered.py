@@ -303,3 +303,25 @@ class TestJson:
         good["arrows"].append(dict(good["arrows"][0]))
         with pytest.raises(ValueError):
             complex_from_json_dict(good)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generators", "alexander", 1.0),
+            ("generators", "alexander", True),
+            ("generators", "maslov", "0"),
+            ("generators", "maslov", 0.5),
+            ("generators", "name", 0),
+            ("generators", "name", None),
+            ("arrows", "upower", 1.9),
+            ("arrows", "upower", False),
+            ("arrows", "upower", "1"),
+            ("arrows", "from", 1),
+            ("arrows", "to", ["s0"]),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, section, key, value):
+        document = to_json_dict(TREFOIL)
+        document[section][0][key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            complex_from_json_dict(document)
