@@ -9,9 +9,11 @@ vector, highest first; ``insert`` reduces a vector and stores what is left.
 The results do not depend on how the table was filled or in which order a
 reduction clears its bits:
 
-* a solve or kernel combination is the unique expression over the columns
-  that were independent of the columns before them, since the stored
-  vectors are combinations of exactly those columns and are independent;
+* the stored vectors are independent and are combinations of exactly the
+  columns that were independent of the columns before them, so a solve
+  combination is the unique expression of the target over those columns,
+  and a kernel combination is a dependent column plus its unique
+  expression over the independent columns before it;
 * the residue of ``reduce`` is the unique element of the coset
   vector + span with every pivot bit clear, and that element is the coset's
   minimum, because adding any nonzero span element sets its leading bit,

@@ -116,21 +116,31 @@ class TestD1Command:
         assert result.output == "Error: malformed complex document: 'upower' must be int, got 1.9\n"
 
 
+_LOOSE = to_json_dict(from_staircase(Staircase((1, 1))))
+_LOOSE["arrows"].append({"from": "s1", "to": "ghost", "upower": 0})
+
+
 @pytest.mark.parametrize(
     "args",
-    [["d1", "--complex", "loose.json"], ["diagram", "complex", "loose.json", "--svg", "out.svg"]],
+    [["d1", "--complex", "in.json"], ["diagram", "complex", "in.json", "--svg", "out.svg"]],
 )
-def test_loose_arrow_is_invalid_complex(runner, tmp_path, monkeypatch, args):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (json.dumps(_LOOSE).encode(),
+         "invalid complex: unknown-generator: arrow s1->ghost has a loose end"),
+        (b"\xff\xfe{", "unreadable JSON in in.json: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["loose-arrow", "not-utf8"],
+)
+def test_bad_complex_file_exits_1(runner, tmp_path, monkeypatch, args, content, message):
     monkeypatch.chdir(tmp_path)
-    document = to_json_dict(from_staircase(Staircase((1, 1))))
-    document["arrows"].append({"from": "s1", "to": "ghost", "upower": 0})
-    (tmp_path / "loose.json").write_text(json.dumps(document))
+    (tmp_path / "in.json").write_bytes(content)
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output == (
-        "Error: invalid complex: unknown-generator: arrow s1->ghost has a loose end\n"
-    )
+    assert result.output.startswith(f"Error: {message}")
+    assert result.output.count("\n") == 1
     assert not (tmp_path / "out.svg").exists()
 
 
