@@ -55,14 +55,11 @@ class PivotTable:
         return vector, combo
 
 
-def _table(columns: Iterable[int]) -> tuple[PivotTable, list[int]]:
-    """Pivot table of the columns, and the combinations that reduced to zero."""
-    table, kernel = PivotTable(), []
+def _table(columns: Iterable[int]) -> PivotTable:
+    table = PivotTable()
     for j, col in enumerate(columns):
-        residue, combo = table.insert(col, 1 << j)
-        if not residue:
-            kernel.append(combo)
-    return table, kernel
+        table.insert(col, 1 << j)
+    return table
 
 
 def solve_masks(columns: Sequence[int], target: int) -> int | None:
@@ -71,20 +68,26 @@ def solve_masks(columns: Sequence[int], target: int) -> int | None:
     Returns the subset as a bitmask over column indices, or None when the
     target lies outside the span.
     """
-    residue, combo = _table(columns)[0].reduce(target)
+    residue, combo = _table(columns).reduce(target)
     return combo if residue == 0 else None
 
 
 def rank_masks(vectors: Iterable[int]) -> int:
-    return len(_table(vectors)[0].rows)
+    return len(_table(vectors).rows)
 
 
 def kernel_masks(columns: Sequence[int]) -> list[int]:
-    """Basis of {x : sum of selected columns = 0}, as masks over column indices."""
-    return _table(columns)[1]
+    """Basis of {x : sum of selected columns = 0}, as masks over column indices.
+
+    One vector per column that reduces to zero: the column plus the earlier
+    independent columns that cancel it.
+    """
+    table = PivotTable()
+    inserted = (table.insert(col, 1 << j) for j, col in enumerate(columns))
+    return [combo for residue, combo in inserted if not residue]
 
 
 def coset_minima(vectors: Iterable[int], basis: Iterable[int]) -> list[int]:
     """Smallest element of v + span(basis), for each v in vectors."""
-    table = _table(basis)[0]
+    table = _table(basis)
     return [table.reduce(v)[0] for v in vectors]
