@@ -10,9 +10,20 @@ differential vanishes only on the patterns returned by *_valid_patterns.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
-from cfktools import Arrow, FilteredComplex, Generator
+from cfktools import (
+    Arrow,
+    BasisChange,
+    FilteredComplex,
+    Generator,
+    IllegalBasisChange,
+    basis_change,
+    build_double_complex,
+    splitting_plan,
+)
+from cfktools.filtered import _shift_of
 
 
 def _box(i0, j0, gtop, names):
@@ -147,3 +158,31 @@ LEVEL_PAIR_MOVE_TABLE = {
     (0, 0, 1, 1): [("z", "d")],
     (1, 1, 1, 1): [("x", "b"), ("y", "c")],
 }
+
+
+def plan_respecting_moves(complex, plan):
+    """Every legal basis change x-into-y with x in an earlier plan subset than y.
+
+    Such moves add only cross arrows that ``remove_diagonals`` may clear.
+    """
+    position = {name: k for k, sub in enumerate(plan) for name in sub}
+    moves = []
+    for y in complex.names():
+        for x in complex.names():
+            if position[x] >= position[y]:
+                continue
+            try:
+                _shift_of(complex, BasisChange(x=x, y=y))
+            except IllegalBasisChange:
+                continue
+            moves.append(BasisChange(x=x, y=y))
+    return moves
+
+
+def scrambled_double(m, seed, count=10):
+    """D(m) after count seeded plan-respecting basis changes."""
+    clean = build_double_complex(m)
+    complex = clean
+    for move in random.Random(seed).sample(plan_respecting_moves(clean, splitting_plan(m)), count):
+        complex = basis_change(complex, move)
+    return complex

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from cfktools import (
-    BasisChange,
     InvalidParameter,
     Staircase,
     basis_change,
@@ -22,8 +21,8 @@ from cfktools import (
     verify_splitting,
 )
 from cfktools.doubles import DISTINGUISHABLE, INCONCLUSIVE, SPECIAL_CASE
-from cfktools.errors import IllegalBasisChange
-from cfktools.filtered import _shift_of
+
+from .complex_fixtures import plan_respecting_moves
 
 
 class TestHfkTable:
@@ -209,16 +208,7 @@ class TestInjectedDiagonals:
         clean = build_double_complex(m)
         plan = splitting_plan(m)
         position = {name: k for k, sub in enumerate(plan) for name in sub}
-        moves = []
-        for y in clean.names():
-            for x in clean.names():
-                if position[x] >= position[y]:
-                    continue
-                try:
-                    _shift_of(clean, BasisChange(x=x, y=y))
-                except IllegalBasisChange:
-                    continue
-                moves.append(BasisChange(x=x, y=y))
+        moves = plan_respecting_moves(clean, plan)
         base = d1_general(clean)
         rng = random.Random(20260811)
         for _ in range(4):

@@ -7,6 +7,7 @@ from cfktools import (
     Staircase,
     alexander_torus,
     basis_change,
+    build_double_complex,
     BasisChange,
     d1_closed_form,
     d1_general,
@@ -21,7 +22,7 @@ from cfktools import (
     tensor,
 )
 
-from .complex_fixtures import single_box
+from .complex_fixtures import scrambled_double, single_box
 from .oracles import brute_solve_gf2
 
 TORUS_STAIRCASES = [
@@ -66,7 +67,30 @@ class TestSolveGf2:
             )
 
 
+def _torus_square(p, q):
+    c = from_staircase(staircase_from_alexander(alexander_torus(p, q)))
+    return tensor(c, c)
+
+
+# hat_generator(...).terms recorded before the column slices were rebuilt;
+# the representative depends on the bit order of the grading-0 slice.
+HAT_TERMS = {
+    "D(1)": (lambda: build_double_complex(1), (("x1", 0),)),
+    "D(2)": (lambda: build_double_complex(2), (("x1", 0),)),
+    "D(3)": (lambda: build_double_complex(3), (("x1", 0),)),
+    "D(4)": (lambda: build_double_complex(4), (("x1", 0),)),
+    "T(3,4)^2": (lambda: _torus_square(3, 4), (("s0*s0", 0),)),
+    "T(5,7)^2": (lambda: _torus_square(5, 7), (("s0*s0", 0),)),
+    "scrambled D(2)": (lambda: scrambled_double(2, 20260811), (("x1", 0),)),
+}
+
+
 class TestHatGenerator:
+    @pytest.mark.parametrize("name", sorted(HAT_TERMS))
+    def test_terms_match_recorded(self, name):
+        build, terms = HAT_TERMS[name]
+        assert hat_generator(build()).terms == terms
+
     def test_trefoil(self):
         cycle = hat_generator(from_staircase(Staircase((1, 1))))
         assert cycle.terms == (("s0", 0),) and cycle.maslov == 0
