@@ -26,7 +26,6 @@ from .filtered import (
     Arrow,
     FilteredComplex,
     Generator,
-    disjoint_union,
     from_staircase,
     isomorphic_up_to_shift,
     split_summands,
@@ -120,6 +119,7 @@ class SplittingReport:
     component_sizes: tuple[int, ...]
     trefoil_index: int | None
     rest_verdict: str
+    trefoil: FilteredComplex | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +133,8 @@ class SplittingReport:
 
 _TREFOIL_MODEL = from_staircase(Staircase((1, 1)))
 
+MAX_SQUARED_DOUBLE = 10  # largest m whose double is squared in full: 25,281 generators
+
 
 def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     """Split into components; find a trefoil summand, certify the rest acyclic.
@@ -141,22 +143,31 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     never by generator names.
     """
     components = split_summands(complex)
-    trefoil_index = None
+    trefoil_index, trefoil, rest = None, None, complex
     for idx, comp in enumerate(components):
         if len(comp.generators) == 3 and isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
-            trefoil_index = idx
+            trefoil_index, trefoil = idx, comp
+            drop = set(comp.names())
+            rest = FilteredComplex(
+                [g for g in complex.generators if g.name not in drop],
+                [a for a in complex.arrows if a.source not in drop],
+            )
             break
-    rest = [c for k, c in enumerate(components) if k != trefoil_index]
-    rest_report = is_acyclic(disjoint_union(rest)) if rest else is_acyclic(
-        FilteredComplex((), ())
-    )
+    rest_verdict = is_acyclic(rest).verdict
     return SplittingReport(
-        trefoil_summand=trefoil_index is not None,
-        acyclic_rest=rest_report.verdict == "certified-acyclic",
+        trefoil_summand=trefoil is not None,
+        acyclic_rest=rest_verdict == "certified-acyclic",
         component_sizes=tuple(len(c.generators) for c in components),
         trefoil_index=trefoil_index,
-        rest_verdict=rest_report.verdict,
+        rest_verdict=rest_verdict,
+        trefoil=trefoil,
     )
+
+
+def _summand_delta2(report: SplittingReport) -> int:
+    if report.trefoil is None:
+        raise CFKError("double complex lost its trefoil summand")
+    return 2 * d1_general(tensor(report.trefoil, report.trefoil))
 
 
 def delta_double_double(m: int, via: str = "both") -> int:
@@ -164,18 +175,17 @@ def delta_double_double(m: int, via: str = "both") -> int:
 
     via="both" (default) runs the full tensor square and the trefoil-summand
     shortcut and insists they agree; "splitting" or "full" run one route.
+    The routes that square the whole double accept m <= MAX_SQUARED_DOUBLE.
     """
     _check_m(m)
     if via not in ("both", "splitting", "full"):
         raise ValueError(f"unknown route {via!r}")
+    if via != "splitting" and m > MAX_SQUARED_DOUBLE:
+        raise InvalidParameter(f"the full square needs m <= {MAX_SQUARED_DOUBLE}, got {m}")
     double = build_double_complex(m)
     fast = None
-    if via in ("both", "splitting"):
-        report = verify_splitting(double)
-        if report.trefoil_index is None:
-            raise CFKError("double complex lost its trefoil summand")
-        summand = split_summands(double)[report.trefoil_index]
-        fast = 2 * d1_general(tensor(summand, summand))
+    if via != "full":
+        fast = _summand_delta2(verify_splitting(double))
         if via == "splitting":
             return fast
     full = 2 * d1_general(tensor(double, double))
@@ -234,7 +244,7 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
     splitting = None
     if two_strand:
         splitting = verify_splitting(build_double_complex(m))
-        delta2 = delta_double_double(m, via="splitting")
+        delta2 = _summand_delta2(splitting)
 
     if abs(delta) > 8:
         verdict = DISTINGUISHABLE

@@ -159,11 +159,11 @@ def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
         for h in c2.generators
     ]
     arrows = []
-    for a in sorted(c1.arrows):
+    for a in c1.arrows:
         for h in c2.generators:
             arrows.append(Arrow(f"{a.source}*{h.name}", f"{a.target}*{h.name}", a.upower))
     for g in c1.generators:
-        for a in sorted(c2.arrows):
+        for a in c2.arrows:
             arrows.append(Arrow(f"{g.name}*{a.source}", f"{g.name}*{a.target}", a.upower))
     return FilteredComplex(gens, arrows)
 
@@ -305,39 +305,28 @@ def _clear_pair(
 
 
 def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
-    """Connected components of the arrow graph, in first-generator order."""
-    neighbours: dict[str, set[str]] = {g.name: set() for g in complex.generators}
-    for a in complex.arrows:
-        neighbours[a.source].add(a.target)
-        neighbours[a.target].add(a.source)
-    seen: set[str] = set()
-    components: list[FilteredComplex] = []
+    """Connected components of the arrow graph, in first-generator order.
+
+    Each component keeps its generators in the complex's order.
+    """
+    label: dict[str, int] = {}
+    parts: list[tuple[list[Generator], list[Arrow]]] = []
     for g in complex.generators:
-        if g.name in seen:
-            continue
-        stack, block = [g.name], set()
-        while stack:
-            name = stack.pop()
-            if name in block:
-                continue
-            block.add(name)
-            stack.extend(sorted(neighbours[name] - block))
-        seen |= block
-        gens = [x for x in complex.generators if x.name in block]
-        arrows = [a for a in sorted(complex.arrows) if a.source in block]
-        components.append(FilteredComplex(gens, arrows))
-    return components
-
-
-def disjoint_union(components: list[FilteredComplex]) -> FilteredComplex:
-    gens: list[Generator] = []
-    arrows: list[Arrow] = []
-    for c in components:
-        gens.extend(c.generators)
-        arrows.extend(sorted(c.arrows))
-    if len({g.name for g in gens}) != len(gens):
-        raise ValueError("disjoint union requires distinct generator names")
-    return FilteredComplex(gens, arrows)
+        if g.name not in label:
+            label[g.name] = len(parts)
+            parts.append(([], []))
+            stack = [g.name]
+            while stack:
+                name = stack.pop()
+                for a in complex._out[name] + complex._in[name]:
+                    for end in (a.source, a.target):
+                        if end not in label:
+                            label[end] = label[g.name]
+                            stack.append(end)
+        parts[label[g.name]][0].append(g)
+    for a in complex.arrows:
+        parts[label[a.source]][1].append(a)
+    return [FilteredComplex(gens, arrows) for gens, arrows in parts]
 
 
 def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:

@@ -8,19 +8,22 @@ U-power search
                    all-negative subcomplex },
 
 and an acyclicity certificate by unit-pivot cancellation over the Laurent
-coefficient ring.  Per Maslov level each U-orbit contributes exactly one
-translate, so every slice that appears is finite and no truncation is ever
-needed.
+coefficient ring.  The column homology and the d1 search solve over slices
+built by one rule: at Maslov level m each U-orbit contributes exactly one
+translate, U^k g with k = (g.maslov - m) / 2 when that is an integer, and the
+slice keeps those its rule admits.  The i = 0 column admits k = 0, the
+quotient by the all-negative subcomplex k <= max(0, alexander).  So every
+slice is finite and no truncation is ever needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from . import gf2
 from .errors import NoTermination, NotAKnotComplex
-from .filtered import FilteredComplex
+from .filtered import FilteredComplex, Generator
 
 
 @dataclass(frozen=True)
@@ -58,39 +61,53 @@ def solve_gf2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | 
     return [(combo >> j) & 1 for j in range(ncols)]
 
 
-def _column_levels(complex: FilteredComplex) -> dict[int, list[str]]:
-    levels: dict[int, list[str]] = {}
-    for g in complex.generators:
-        levels.setdefault(g.maslov, []).append(g.name)
-    return levels
+def _slice(generators: Iterable[Generator], level: int,
+           keep: Callable[[Generator, int], bool]) -> dict[tuple[str, int], int]:
+    """Bit index of each translate U^k g at the Maslov level that keep(g, k) admits."""
+    index: dict[tuple[str, int], int] = {}
+    for g in generators:
+        drop = g.maslov - level
+        if drop % 2 == 0 and keep(g, drop // 2):
+            index[(g.name, drop // 2)] = len(index)
+    return index
 
 
-def _column_boundary_masks(complex: FilteredComplex, sources: list[str],
-                           target_index: dict[str, int]) -> list[int]:
-    """Masks of the upower-0 differential of each source, over target bits."""
+def _in_column(g: Generator, k: int) -> bool:
+    return k == 0
+
+
+def _in_quotient(g: Generator, k: int) -> bool:
+    """U^k g sits at (-k, alexander - k), outside the i<0, j<0 subcomplex."""
+    return k <= max(0, g.alexander)
+
+
+def _boundary_masks(complex: FilteredComplex, sources: dict[tuple[str, int], int],
+                    targets: dict[tuple[str, int], int]) -> list[int]:
+    """Differential of each source translate, as a mask over the target bits."""
     masks = []
-    for name in sources:
+    for name, k in sources:
         mask = 0
         for a in complex.arrows_from(name):
-            if a.upower == 0:
-                mask ^= 1 << target_index[a.target]
+            bit = targets.get((a.target, k + a.upower))
+            if bit is not None:
+                mask ^= 1 << bit
         masks.append(mask)
     return masks
 
 
 def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
     """Homology ranks of the i = 0 column, keyed by Maslov grading."""
-    levels = _column_levels(complex)
-    boundary_rank: dict[int, int] = {}
-    for m, sources in levels.items():
-        below = levels.get(m - 1, [])
-        index = {name: k for k, name in enumerate(below)}
-        boundary_rank[m] = gf2.rank_masks(
-            _column_boundary_masks(complex, sources, index)
-        )
+    levels: dict[int, list[Generator]] = {}
+    for g in complex.generators:
+        levels.setdefault(g.maslov, []).append(g)
+    columns = {m: _slice(gens, m, _in_column) for m, gens in levels.items()}
+    boundary_rank = {
+        m: gf2.rank_masks(_boundary_masks(complex, column, columns.get(m - 1, {})))
+        for m, column in columns.items()
+    }
     ranks = {}
-    for m, names in levels.items():
-        h = len(names) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
+    for m, column in columns.items():
+        h = len(column) - boundary_rank[m] - boundary_rank.get(m + 1, 0)
         if h:
             ranks[m] = h
     return ranks
@@ -101,39 +118,17 @@ def hat_generator(complex: FilteredComplex) -> Cycle:
     ranks = hat_homology_ranks(complex)
     if ranks != {0: 1}:
         raise NotAKnotComplex(f"column homology ranks are {ranks}, expected one class at grading 0")
-    level0 = sorted(_column_levels(complex).get(0, []))
-    index0 = {name: k for k, name in enumerate(level0)}
-    below = sorted(_column_levels(complex).get(-1, []))
-    index_below = {name: k for k, name in enumerate(below)}
-    above = sorted(_column_levels(complex).get(1, []))
-
-    kernel = gf2.kernel_masks(
-        _column_boundary_masks(complex, level0, index_below)
-    )
-    boundaries = _column_boundary_masks(complex, above, index0)
+    gens = complex.generators
+    # the coset minimum depends on this slice's bit order: name order
+    level0 = {key: bit for bit, key in enumerate(sorted(_slice(gens, 0, _in_column)))}
+    below, above = _slice(gens, -1, _in_column), _slice(gens, 1, _in_column)
+    kernel = gf2.kernel_masks(_boundary_masks(complex, level0, below))
+    boundaries = _boundary_masks(complex, above, level0)
     for rep in gf2.coset_minima(kernel, boundaries):
         if rep:
-            terms = tuple(
-                (name, 0) for name in level0 if (rep >> index0[name]) & 1
-            )
+            terms = tuple(key for key, bit in level0.items() if (rep >> bit) & 1)
             return Cycle(terms=terms, maslov=0)
     raise NotAKnotComplex("no surviving cycle at grading 0")
-
-
-def _quotient_basis(complex: FilteredComplex, level: int) -> dict[tuple[str, int], int]:
-    """Translates at the Maslov level that avoid the i<0, j<0 subcomplex.
-
-    U^k g sits at (-k, alexander - k); it stays in the quotient exactly when
-    k <= max(0, alexander).
-    """
-    basis: dict[tuple[str, int], int] = {}
-    for g in complex.generators:
-        if (g.maslov - level) % 2:
-            continue
-        k = (g.maslov - level) // 2
-        if k <= max(0, g.alexander):
-            basis[(g.name, k)] = len(basis)
-    return basis
 
 
 def _dies_in_quotient(complex: FilteredComplex, terms: list[tuple[str, int]],
@@ -143,23 +138,15 @@ def _dies_in_quotient(complex: FilteredComplex, terms: list[tuple[str, int]],
     The chain is a boundary there iff it equals d(y) plus a subcomplex
     element, which is a finite GF(2) solve over the two relevant slices.
     """
-    rows = _quotient_basis(complex, level)
-    cols = _quotient_basis(complex, level + 1)
+    rows = _slice(complex.generators, level, _in_quotient)
     target = 0
-    for name, k in terms:
-        if (name, k) in rows:
-            target ^= 1 << rows[(name, k)]
+    for key in terms:
+        if key in rows:
+            target ^= 1 << rows[key]
     if target == 0:
         return True
-    columns = []
-    for (name, k), _ in sorted(cols.items(), key=lambda kv: kv[1]):
-        mask = 0
-        for a in complex.arrows_from(name):
-            key = (a.target, k + a.upower)
-            if key in rows:
-                mask ^= 1 << rows[key]
-        columns.append(mask)
-    return gf2.solve_masks(columns, target) is not None
+    above = _slice(complex.generators, level + 1, _in_quotient)
+    return gf2.solve_masks(_boundary_masks(complex, above, rows), target) is not None
 
 
 def d1_general(complex: FilteredComplex) -> int:
@@ -182,12 +169,13 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     Entries are sets of U-exponents; a pivot cancels a source/target pair and
     reroutes through the zig-zag rule.  Fully cancelled: acyclic.  Survivors
     with zero differential: nonacyclic, survivors are the witness classes.
-    Nonzero non-monomial leftovers (impossible for graded complexes, where
-    exponents are pinned): indeterminate.
+    Nonzero non-monomial leftovers: indeterminate.  Only a complex that
+    validate rejects gets there, since in a graded complex the gradings pin
+    each entry's exponent and the zig-zag rule keeps entries monomial.
     """
     out: dict[str, dict[str, set[int]]] = {g.name: {} for g in complex.generators}
     into: dict[str, set[str]] = {g.name: set() for g in complex.generators}
-    for a in sorted(complex.arrows):
+    for a in complex.arrows:
         out[a.source].setdefault(a.target, set()).add(a.upower)
         into[a.target].add(a.source)
 

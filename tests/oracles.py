@@ -1,10 +1,13 @@
 """Independent oracles, kept free of the library's own code paths.
 
 Plain coefficient-list polynomial division and brute-force enumeration,
-used to cross-check the semigroup construction and the GF(2) routines.
+used to cross-check the semigroup construction and the GF(2) routines, and
+a set-based component search that builds only the library's data type.
 """
 
 from __future__ import annotations
+
+from cfktools import FilteredComplex
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -84,3 +87,28 @@ def brute_span(columns: list[int]) -> dict[int, int]:
 def brute_rank(columns: list[int]) -> int:
     """log2 of the span's size."""
     return len(brute_span(columns)).bit_length() - 1
+
+
+def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
+    """Connected components by a neighbour-set search, in first-generator order."""
+    neighbours: dict[str, set[str]] = {g.name: set() for g in complex.generators}
+    for a in complex.arrows:
+        neighbours[a.source].add(a.target)
+        neighbours[a.target].add(a.source)
+    seen: set[str] = set()
+    components: list[FilteredComplex] = []
+    for g in complex.generators:
+        if g.name in seen:
+            continue
+        stack, block = [g.name], set()
+        while stack:
+            name = stack.pop()
+            if name in block:
+                continue
+            block.add(name)
+            stack.extend(sorted(neighbours[name] - block))
+        seen |= block
+        gens = [x for x in complex.generators if x.name in block]
+        arrows = [a for a in sorted(complex.arrows) if a.source in block]
+        components.append(FilteredComplex(gens, arrows))
+    return components

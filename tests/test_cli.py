@@ -81,6 +81,11 @@ class TestDouble:
         result = runner.invoke(main, ["double", "0"])
         assert result.exit_code == 2
 
+    def test_square_of_a_double_above_the_cap_is_usage_error(self, runner):
+        result = runner.invoke(main, ["double", "11", "--delta2"])
+        assert result.exit_code == 2
+        assert "Error: the full square needs m <= 10, got 11\n" in result.output
+
 
 class TestD1Command:
     def test_trefoil_file(self, runner, tmp_path):
@@ -229,6 +234,11 @@ class TestTable:
         rows = list(csv.DictReader(io.StringIO(result.output)))
         assert len(rows) == 1
         assert rows[0]["delta_double_double"] == "-4"
+
+    def test_torus_family_above_the_cap_is_usage_error(self, runner):
+        result = runner.invoke(main, ["table", "--family", "torus:31"])
+        assert result.exit_code == 2
+        assert "Error: torus:N takes N <= 30, got 31\n" in result.output
 
     def test_empty_family_is_usage_error(self, runner):
         result = runner.invoke(main, ["table", "--family", "torus:2"])

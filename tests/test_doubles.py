@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from cfktools import (
     validate,
     verify_splitting,
 )
-from cfktools.doubles import DISTINGUISHABLE, INCONCLUSIVE, SPECIAL_CASE
+from cfktools.doubles import DISTINGUISHABLE, INCONCLUSIVE, MAX_SQUARED_DOUBLE, SPECIAL_CASE
 
 from .complex_fixtures import plan_respecting_moves
 
@@ -108,6 +109,13 @@ class TestSplitting:
             comp_sets = {frozenset(c.names()) for c in comps}
             assert plan_sets == comp_sets
 
+    def test_report_keeps_the_trefoil_summand(self):
+        report = verify_splitting(build_double_complex(2))
+        summand = split_summands(build_double_complex(2))[report.trefoil_index]
+        assert report.trefoil == summand
+        assert "trefoil" not in report.to_dict()
+        assert report == replace(report, trefoil=None)
+
     def test_trefoil_complex_itself(self):
         report = verify_splitting(from_staircase(Staircase((1, 1))))
         assert report.trefoil_summand and report.acyclic_rest
@@ -150,6 +158,12 @@ class TestDeltaDoubleDouble:
             delta_double_double(0)
         with pytest.raises(ValueError):
             delta_double_double(1, via="guess")
+
+    def test_only_the_full_square_is_capped(self):
+        for via in ("both", "full"):
+            with pytest.raises(InvalidParameter):
+                delta_double_double(MAX_SQUARED_DOUBLE + 1, via=via)
+        assert delta_double_double(MAX_SQUARED_DOUBLE + 1, via="splitting") == -4
 
 
 class TestClassify:

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfktools import (
     Arrow,
@@ -13,7 +14,6 @@ from cfktools import (
     Staircase,
     basis_change,
     complex_from_json_dict,
-    disjoint_union,
     from_staircase,
     isomorphic_up_to_shift,
     remove_diagonals,
@@ -34,7 +34,9 @@ from .complex_fixtures import (
     box_pair_level_valid_patterns,
     box_pair_step,
     box_pair_step_valid_patterns,
+    scrambled_double,
 )
+from .oracles import reference_split_summands
 
 TREFOIL = from_staircase(Staircase((1, 1)))
 
@@ -261,16 +263,48 @@ class TestRemoveDiagonals:
             remove_diagonals(c, list(reversed(BOX_PAIR_LEVEL_PLAN)))
 
 
+PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda half: Staircase(tuple(half + half[::-1]))
+)
+
+
+@st.composite
+def shuffled_staircase_unions(draw):
+    """Disjoint union of prefixed staircase complexes, generators shuffled."""
+    gens, arrows = [], []
+    for k, stair in enumerate(draw(st.lists(PALINDROMES, min_size=1, max_size=4))):
+        c = from_staircase(stair)
+        gens += [Generator(f"c{k}{g.name}", g.alexander, g.maslov) for g in c.generators]
+        arrows += [Arrow(f"c{k}{a.source}", f"c{k}{a.target}", a.upower) for a in c.arrows]
+    return FilteredComplex(draw(st.permutations(gens)), arrows)
+
+
+@st.composite
+def shuffled_scrambled_doubles(draw):
+    c = scrambled_double(draw(st.integers(1, 3)), draw(st.integers(0, 1 << 16)))
+    return FilteredComplex(draw(st.permutations(c.generators)), c.arrows)
+
+
 class TestSplitSummands:
+    @given(st.one_of(shuffled_staircase_unions(), shuffled_scrambled_doubles()))
+    @settings(deadline=None)
+    def test_matches_reference(self, complex):
+        got = split_summands(complex)
+        want = reference_split_summands(complex)
+        assert [c.generators for c in got] == [c.generators for c in want]
+        assert [c.arrows for c in got] == [c.arrows for c in want]
+
     def test_trefoil_single_component(self):
         assert len(split_summands(TREFOIL)) == 1
 
     def test_reassembly(self):
         c = box_pair_level(0, 0, 0, 0)
         parts = split_summands(c)
-        rebuilt = disjoint_union(parts)
-        assert set(rebuilt.generators) == set(c.generators)
-        assert rebuilt.arrows == c.arrows
+        assert [p.names() for p in parts] == [["w", "x", "y", "z"], ["a", "b", "c", "d"]]
+        assert [g for p in parts for g in p.generators] == list(c.generators)
+        assert frozenset().union(*(p.arrows for p in parts)) == c.arrows
+        for p in parts:
+            assert all(a.source in p.names() and a.target in p.names() for a in p.arrows)
 
 
 class TestIsomorphism:

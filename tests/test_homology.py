@@ -20,6 +20,7 @@ from cfktools import (
     split_summands,
     staircase_from_alexander,
     tensor,
+    validate,
 )
 
 from .complex_fixtures import scrambled_double, single_box
@@ -187,6 +188,18 @@ class TestIsAcyclic:
         from .complex_fixtures import box_pair_level
 
         assert is_acyclic(box_pair_level(1, 1, 0, 0)).verdict == "certified-acyclic"
+
+    def test_two_powers_between_one_pair_is_indeterminate(self):
+        from cfktools import Arrow, FilteredComplex, Generator
+
+        complex = FilteredComplex(
+            [Generator("a", 0, 1), Generator("b", 0, 0)],
+            [Arrow("a", "b", 0), Arrow("a", "b", 1)],
+        )
+        assert validate(complex) is not None
+        report = is_acyclic(complex)
+        assert report.verdict == "indeterminate"
+        assert report.survivors == ("a", "b")
 
     @pytest.mark.parametrize("stair", TORUS_STAIRCASES[:6], ids=str)
     def test_staircases_never_acyclic(self, stair):
