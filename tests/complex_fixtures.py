@@ -19,8 +19,10 @@ from cfktools import (
     FilteredComplex,
     Generator,
     IllegalBasisChange,
+    Staircase,
     basis_change,
     build_double_complex,
+    from_staircase,
     splitting_plan,
 )
 from cfktools.filtered import _shift_of
@@ -140,6 +142,18 @@ def box_over_corner_valid_patterns():
         for E, F, G, H, I in product((0, 1), repeat=5)
         if E == (F + H) % 2 and E == (G + I) % 2
     ]
+
+
+def trefoil_with_mixed_box():
+    """Trefoil plus a box whose sink shares s0's bigrading, then sink += s0.
+
+    The grading-0 class has two one-term representatives, s0 and the sink
+    "b3", so the canonical cycle depends on the slice's bit order.
+    """
+    gens, arrows = _box(0, 1, 0, ("b0", "b1", "b2", "b3"))
+    trefoil = from_staircase(Staircase((1, 1)))
+    complex = FilteredComplex(list(trefoil.generators) + gens, list(trefoil.arrows) + arrows)
+    return basis_change(complex, BasisChange(x="s0", y="b3"))
 
 
 def single_box():

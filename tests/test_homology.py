@@ -23,7 +23,7 @@ from cfktools import (
     validate,
 )
 
-from .complex_fixtures import scrambled_double, single_box
+from .complex_fixtures import scrambled_double, single_box, trefoil_with_mixed_box
 from .oracles import brute_solve_gf2
 
 TORUS_STAIRCASES = [
@@ -73,8 +73,9 @@ def _torus_square(p, q):
     return tensor(c, c)
 
 
-# hat_generator(...).terms recorded before the column slices were rebuilt;
-# the representative depends on the bit order of the grading-0 slice.
+# Recorded canonical cycles.  The representative is a coset minimum, so it
+# depends on the bit order of the grading-0 slice; only the last input has
+# more than one candidate.
 HAT_TERMS = {
     "D(1)": (lambda: build_double_complex(1), (("x1", 0),)),
     "D(2)": (lambda: build_double_complex(2), (("x1", 0),)),
@@ -83,6 +84,7 @@ HAT_TERMS = {
     "T(3,4)^2": (lambda: _torus_square(3, 4), (("s0*s0", 0),)),
     "T(5,7)^2": (lambda: _torus_square(5, 7), (("s0*s0", 0),)),
     "scrambled D(2)": (lambda: scrambled_double(2, 20260811), (("x1", 0),)),
+    "trefoil + mixed box": (trefoil_with_mixed_box, (("b3", 0),)),
 }
 
 
