@@ -9,11 +9,23 @@ generators grading +1.  The closed forms implemented here:
     tau        = height of the i = 0 vertex
     d1         = -2 * min over vertices of max(i, j)
     delta(D(K)) = -4 * min over ordered vertex pairs of max(i+k, j+l)
+
+The delta minimum takes O(V) for V vertices, not O(V^2).  For any pair,
+max(a.i+b.i, a.j+b.j) >= ((a.i+a.j) + (b.i+b.j)) / 2 >= min over vertices
+of (i + j).  A palindromic step vector gives a walk that is symmetric under
+(i, j) -> (j, i), so every vertex a has a mirror b = (a.j, a.i), and that
+pair attains a.i + a.j.  Hence delta(D(K)) = -4 * min over vertices of
+(i + j).  (Bisecting on i - j, which strictly increases along the walk,
+finds the same partner: the bisection lands exactly on the mirror.)
+
+Each Staircase walks its vertices once and keeps them as a tuple;
+vertices() hands out a fresh list copy of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotLSpaceForm
@@ -43,19 +55,28 @@ class Staircase:
     def __str__(self) -> str:
         return "St(" + ",".join(str(v) for v in self.steps) + ")"
 
+    @cached_property
+    def _walk(self) -> tuple[Vertex, ...]:
+        # kept in the instance __dict__, outside the fields that eq and hash read
+        i, j = 0, sum(self.steps[1::2])
+        out = [Vertex(i, j, 0)]
+        for pos, step in enumerate(self.steps):
+            if pos % 2 == 0:
+                i += step
+            else:
+                j -= step
+            out.append(Vertex(i, j, (pos + 1) % 2))
+        assert j == 0 and i == sum(self.steps[0::2])
+        return tuple(out)
+
 
 def vertices(stair: Staircase) -> list[Vertex]:
-    """Walk coordinates with gradings, from (0, tau) down to (tau, 0)."""
-    i, j = 0, sum(stair.steps[1::2])
-    out = [Vertex(i, j, 0)]
-    for pos, step in enumerate(stair.steps):
-        if pos % 2 == 0:
-            i += step
-        else:
-            j -= step
-        out.append(Vertex(i, j, (pos + 1) % 2))
-    assert j == 0 and i == sum(stair.steps[0::2])
-    return out
+    """Walk coordinates with gradings, from (0, tau) down to (tau, 0).
+
+    Returns a new list on every call; the walk itself is computed once per
+    staircase.
+    """
+    return list(stair._walk)
 
 
 def tau(stair: Staircase) -> int:
@@ -68,8 +89,8 @@ def d1_closed_form(stair: Staircase) -> int:
 
 
 def delta_whitehead(stair: Staircase) -> int:
-    vs = vertices(stair)
-    return -4 * min(max(a.i + b.i, a.j + b.j) for a in vs for b in vs)
+    """-4 * min over ordered vertex pairs of max(i+k, j+l), as -4 * min(i + j)."""
+    return -4 * min(v.i + v.j for v in vertices(stair))
 
 
 def tensor_vertex_multiset(s1: Staircase, s2: Staircase) -> list[Vertex]:

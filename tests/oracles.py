@@ -1,13 +1,14 @@
 """Independent oracles, kept free of the library's own code paths.
 
 Plain coefficient-list polynomial division and brute-force enumeration,
-used to cross-check the semigroup construction and the GF(2) routines, and
-a set-based component search that builds only the library's data type.
+used to cross-check the semigroup construction and the GF(2) routines, a
+set-based component search that builds only the library's data type, and
+the O(V^2) pair loop for delta(D(K)) over a walk of the step vector.
 """
 
 from __future__ import annotations
 
-from cfktools import FilteredComplex
+from cfktools import FilteredComplex, Staircase
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -112,3 +113,16 @@ def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
         arrows = [a for a in sorted(complex.arrows) if a.source in block]
         components.append(FilteredComplex(gens, arrows))
     return components
+
+
+def reference_delta_whitehead(stair: Staircase) -> int:
+    """-4 * min over ordered vertex pairs of max(i+k, j+l), every pair tried."""
+    i, j = 0, sum(stair.steps[1::2])
+    points = [(i, j)]
+    for pos, step in enumerate(stair.steps):
+        if pos % 2 == 0:
+            i += step
+        else:
+            j -= step
+        points.append((i, j))
+    return -4 * min(max(i + k, j + l) for i, j in points for k, l in points)

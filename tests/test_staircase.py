@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from cfktools import (
     LaurentPoly,
     NotLSpaceForm,
     Staircase,
+    Vertex,
     alexander_of_staircase,
     alexander_torus,
     d1_closed_form,
@@ -16,6 +18,8 @@ from cfktools import (
     tensor_vertex_multiset,
     vertices,
 )
+
+from .oracles import reference_delta_whitehead
 
 UNKNOT = Staircase(())
 TREFOIL = Staircase((1, 1))
@@ -90,6 +94,35 @@ def test_delta_whitehead_examples():
     assert delta_whitehead(T25) == -8
     assert delta_whitehead(T34) == -8
     assert delta_whitehead(UNKNOT) == 0
+
+
+@given(palindromes)
+def test_delta_whitehead_matches_pair_loop(stair):
+    assert delta_whitehead(stair) == reference_delta_whitehead(stair)
+
+
+@pytest.mark.parametrize("q", range(3, 31))
+def test_delta_whitehead_matches_pair_loop_on_torus_knots(q):
+    for p in range(2, q):
+        if math.gcd(p, q) == 1:
+            stair = staircase_from_alexander(alexander_torus(p, q))
+            assert delta_whitehead(stair) == reference_delta_whitehead(stair), (p, q)
+
+
+def test_vertices_returns_a_fresh_list():
+    stair = Staircase((1, 2, 2, 1))
+    walk = [(0, 3, 0), (1, 3, 1), (1, 1, 0), (3, 1, 1), (3, 0, 0)]
+    first = vertices(stair)
+    first.reverse()
+    first.append(Vertex(9, 9, 9))
+    assert vertices(stair) == walk
+    assert vertices(stair) is not vertices(stair)
+
+    twin = Staircase((1, 2, 2, 1))
+    assert vars(stair) != vars(twin)  # only stair has walked
+    assert stair == twin and hash(stair) == hash(twin)
+    assert repr(stair) == repr(twin) == "Staircase(steps=(1, 2, 2, 1))"
+    assert len({stair, twin}) == 1
 
 
 def test_tensor_vertex_multiset_profiles():
