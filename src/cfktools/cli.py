@@ -40,6 +40,8 @@ from .staircase import (
 
 SCHEMA = "cfk-1"
 MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
+MAX_T2_TABLE = 50  # largest M for table --family t2:M
+MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates that many flags
 
 
 def _parse_staircase(text: str) -> Staircase:
@@ -56,6 +58,11 @@ def _parse_staircase(text: str) -> Staircase:
 
 
 def _torus_staircase(p: int, q: int) -> Staircase:
+    # parameters below 2 are left to alexander_torus, whose message names them
+    if p >= 2 and q >= 2 and (p - 1) * (q - 1) > MAX_TORUS_CONDUCTOR:
+        raise InvalidParameter(
+            f"T(p,q) needs (p-1)(q-1) <= {MAX_TORUS_CONDUCTOR}, got {(p - 1) * (q - 1)}"
+        )
     return staircase_from_alexander(alexander_torus(p, q))
 
 
@@ -342,6 +349,8 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
                     rows.append(_knot_report(f"T({p},{q})", _torus_staircase(p, q)))
         header = ["knot", "steps", "alexander", "tau", "d1", "delta_whitehead"]
     elif kind == "t2":
+        if limit > MAX_T2_TABLE:
+            raise click.UsageError(f"t2:M takes M <= {MAX_T2_TABLE}, got {limit}")
         for m in range(1, limit + 1):
             stair = Staircase((1,) * (2 * m))
             report = _knot_report(f"T(2,{2 * m + 1})", stair)

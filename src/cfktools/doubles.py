@@ -55,9 +55,14 @@ def hfk_hat_double(m: int) -> dict[tuple[int, int], int]:
     return table
 
 
+MAX_DOUBLE = 200  # largest m whose double is built: 3,199 generators
+
+
 def build_double_complex(m: int) -> FilteredComplex:
-    """The double's complex in diagonal-free normal form."""
+    """The double's complex in diagonal-free normal form; takes m <= MAX_DOUBLE."""
     _check_m(m)
+    if m > MAX_DOUBLE:
+        raise InvalidParameter(f"the double needs m <= {MAX_DOUBLE}, got {m}")
     gens = (
         [Generator(f"x{k}", 1, 0) for k in range(1, 2 * m + 1)]
         + [
@@ -235,8 +240,6 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
     case: its threshold test fails, but the directly computed second-iterate
     delta differs from the first.  Everything else is INCONCLUSIVE.
     """
-    t = tau(stair)
-    delta = delta_whitehead(stair)
     two_strand = bool(stair.steps) and all(v == 1 for v in stair.steps)
     m = len(stair.steps) // 2 if two_strand else None
 
@@ -245,6 +248,8 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
     if two_strand:
         splitting = verify_splitting(build_double_complex(m))
         delta2 = _summand_delta2(splitting)
+    t = tau(stair)
+    delta = delta_whitehead(stair)
 
     if abs(delta) > 8:
         verdict = DISTINGUISHABLE

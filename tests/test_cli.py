@@ -46,6 +46,16 @@ class TestTorus:
         assert payload["d1"] == d1_closed_form(stair)
         assert payload["delta_whitehead"] == delta_whitehead(stair)
 
+    @pytest.mark.parametrize(
+        "verb", [["torus"], ["classify", "torus"], ["diagram", "torus", "--svg", "out.svg"]]
+    )
+    def test_torus_above_the_cap_is_usage_error(self, runner, verb, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [*verb[:2], "1001", "1002", *verb[2:]])
+        assert result.exit_code == 2
+        assert "Error: T(p,q) needs (p-1)(q-1) <= 1000000, got 1001000\n" in result.output
+        assert not (tmp_path / "out.svg").exists()
+
     def test_json_is_deterministic(self, runner):
         first = runner.invoke(main, ["--json", "torus", "5", "7"]).output
         second = runner.invoke(main, ["--json", "torus", "5", "7"]).output
@@ -80,6 +90,23 @@ class TestDouble:
     def test_bad_m_is_usage_error(self, runner):
         result = runner.invoke(main, ["double", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["double", "201"],
+            ["double", "201", "--verify"],
+            ["diagram", "double", "201", "--svg", "out.svg"],
+            ["classify", "torus", "2", "403"],
+            ["classify", "staircase", ",".join(["1"] * 402)],
+        ],
+    )
+    def test_double_above_the_cap_is_usage_error(self, runner, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Error: the double needs m <= 200, got 201\n" in result.output
+        assert not (tmp_path / "out.svg").exists()
 
     def test_square_of_a_double_above_the_cap_is_usage_error(self, runner):
         result = runner.invoke(main, ["double", "11", "--delta2"])
@@ -239,6 +266,11 @@ class TestTable:
         result = runner.invoke(main, ["table", "--family", "torus:31"])
         assert result.exit_code == 2
         assert "Error: torus:N takes N <= 30, got 31\n" in result.output
+
+    def test_two_strand_family_above_the_cap_is_usage_error(self, runner):
+        result = runner.invoke(main, ["table", "--family", "t2:51"])
+        assert result.exit_code == 2
+        assert "Error: t2:M takes M <= 50, got 51\n" in result.output
 
     def test_empty_family_is_usage_error(self, runner):
         result = runner.invoke(main, ["table", "--family", "torus:2"])
