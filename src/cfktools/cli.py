@@ -58,11 +58,10 @@ def _parse_staircase(text: str) -> Staircase:
 
 
 def _torus_staircase(p: int, q: int) -> Staircase:
+    conductor = (p - 1) * (q - 1)
     # parameters below 2 are left to alexander_torus, whose message names them
-    if p >= 2 and q >= 2 and (p - 1) * (q - 1) > MAX_TORUS_CONDUCTOR:
-        raise InvalidParameter(
-            f"T(p,q) needs (p-1)(q-1) <= {MAX_TORUS_CONDUCTOR}, got {(p - 1) * (q - 1)}"
-        )
+    if p >= 2 and q >= 2 and conductor > MAX_TORUS_CONDUCTOR:
+        raise InvalidParameter(f"T(p,q) needs (p-1)(q-1) <= {MAX_TORUS_CONDUCTOR}, got {conductor}")
     return staircase_from_alexander(alexander_torus(p, q))
 
 

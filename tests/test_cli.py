@@ -47,11 +47,16 @@ class TestTorus:
         assert payload["delta_whitehead"] == delta_whitehead(stair)
 
     @pytest.mark.parametrize(
-        "verb", [["torus"], ["classify", "torus"], ["diagram", "torus", "--svg", "out.svg"]]
+        "args",
+        [
+            ["torus", "1001", "1002"],
+            ["classify", "torus", "1001", "1002"],
+            ["diagram", "torus", "1001", "1002", "--svg", "out.svg"],
+        ],
     )
-    def test_torus_above_the_cap_is_usage_error(self, runner, verb, tmp_path, monkeypatch):
+    def test_torus_above_the_cap_is_usage_error(self, runner, args, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        result = runner.invoke(main, [*verb[:2], "1001", "1002", *verb[2:]])
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "Error: T(p,q) needs (p-1)(q-1) <= 1000000, got 1001000\n" in result.output
         assert not (tmp_path / "out.svg").exists()
