@@ -174,23 +174,26 @@ LEVEL_PAIR_MOVE_TABLE = {
 }
 
 
-def plan_respecting_moves(complex, plan):
-    """Every legal basis change x-into-y with x in an earlier plan subset than y.
-
-    Such moves add only cross arrows that ``remove_diagonals`` may clear.
-    """
-    position = {name: k for k, sub in enumerate(plan) for name in sub}
+def legal_moves(complex):
+    """Every legal basis change x-into-y, y then x in generator order."""
     moves = []
     for y in complex.names():
         for x in complex.names():
-            if position[x] >= position[y]:
-                continue
             try:
                 _shift_of(complex, BasisChange(x=x, y=y))
             except IllegalBasisChange:
                 continue
             moves.append(BasisChange(x=x, y=y))
     return moves
+
+
+def plan_respecting_moves(complex, plan):
+    """Every legal basis change x-into-y with x in an earlier plan subset than y.
+
+    Such moves add only cross arrows that ``remove_diagonals`` may clear.
+    """
+    position = {name: k for k, sub in enumerate(plan) for name in sub}
+    return [move for move in legal_moves(complex) if position[move.x] < position[move.y]]
 
 
 def scrambled_double(m, seed, count=10):

@@ -2,8 +2,9 @@
 
 Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
-set-based component search that builds only the library's data type, and
-the O(V^2) pair loop for delta(D(K)) over a walk of the step vector.
+set-based component search that builds only the library's data type, the
+O(V^2) pair loop for delta(D(K)) over a walk of the step vector, and a
+move-by-move diagonal elimination over plain arrow tuples.
 """
 
 from __future__ import annotations
@@ -126,3 +127,68 @@ def reference_delta_whitehead(stair: Staircase) -> int:
             j -= step
         points.append((i, j))
     return -4 * min(max(i + k, j + l) for i, j in points for k, l in points)
+
+
+def _legal_shift(gens: dict, x: str, y: str) -> int | None:
+    """U-power of the basis change y' = y + U^shift x, or None if it is illegal."""
+    gx, gy = gens[x], gens[y]
+    if x == y or (gx.maslov - gy.maslov) % 2:
+        return None
+    shift = (gx.maslov - gy.maslov) // 2
+    if shift < 0 or gx.alexander - shift > gy.alexander:
+        return None
+    return shift
+
+
+def _apply_move(arrows: set, x: str, y: str, shift: int) -> set:
+    """Arrows after y' = y + U^shift x: copies onto x of the arrows into y, and
+    copies leaving y of the arrows out of x, each toggled in on its own."""
+    out = set(arrows)
+    for source, target, upower in arrows:
+        if target == y:
+            out ^= {(source, x, upower + shift)}
+    for source, target, upower in arrows:
+        if source == x:
+            out ^= {(y, target, upower + shift)}
+    return out
+
+
+def reference_remove_diagonals(
+    complex: FilteredComplex, plan: list[list[str]]
+) -> list[set[tuple[str, str, int]]]:
+    """Arrows (source, target, upower) after clearing each plan pair in turn.
+
+    Pairs run back to front.  A pair's candidate moves are the legal moves x
+    into y, x in the earlier subset and y in the later one, y then x in name
+    order; a move's column is the set of cross slots (source, target) it
+    flips.  The moves applied are the unique expression of the pair's cross
+    slots over the columns independent of the columns before them, read off
+    an enumeration of their span, and they are applied one at a time.  Which
+    columns those are decides the arrows a pair leaves toward earlier
+    subsets, so the result after each pair pins the choice.
+    """
+    gens = {g.name: g for g in complex.generators}
+    arrows = {(a.source, a.target, a.upower) for a in complex.arrows}
+    after_each_pair = []
+    for hi in range(len(plan) - 1, 0, -1):
+        for lo in range(hi - 1, -1, -1):
+            his, los = set(plan[hi]), set(plan[lo])
+
+            def cross(arrow_set):
+                return frozenset((s, t) for s, t, _ in arrow_set if s in his and t in los)
+
+            target = cross(arrows)
+            span: dict[frozenset, list] = {frozenset(): []}
+            for y in sorted(his) if target else []:
+                for x in sorted(los):
+                    shift = _legal_shift(gens, x, y)
+                    if shift is None:
+                        continue
+                    column = cross(_apply_move(arrows, x, y, shift)) ^ target
+                    if column not in span:
+                        span.update({v ^ column: [*m, (x, y, shift)] for v, m in span.items()})
+            assert target in span, f"no moves clear subset {hi} from subset {lo}"
+            for x, y, shift in span[target]:
+                arrows = _apply_move(arrows, x, y, shift)
+            after_each_pair.append(arrows)
+    return after_each_pair

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cfktools import (
     Arrow,
     BasisChange,
+    CFKError,
     FilteredComplex,
     Generator,
     IllegalBasisChange,
@@ -14,6 +16,7 @@ from cfktools import (
     Staircase,
     basis_change,
     complex_from_json_dict,
+    splitting_plan,
     from_staircase,
     isomorphic_up_to_shift,
     remove_diagonals,
@@ -22,6 +25,8 @@ from cfktools import (
     to_json_dict,
     validate,
 )
+
+from cfktools import filtered
 
 from .complex_fixtures import (
     BOX_OVER_CORNER_PLAN,
@@ -36,7 +41,7 @@ from .complex_fixtures import (
     box_pair_step_valid_patterns,
     scrambled_double,
 )
-from .oracles import reference_split_summands
+from .oracles import reference_remove_diagonals, reference_split_summands
 
 TREFOIL = from_staircase(Staircase((1, 1)))
 
@@ -262,6 +267,42 @@ class TestRemoveDiagonals:
         with pytest.raises(InadmissiblePlan):
             remove_diagonals(c, list(reversed(BOX_PAIR_LEVEL_PLAN)))
 
+    @given(st.integers(1, 4), st.integers(0, 1 << 16), st.integers(1, 16))
+    @settings(deadline=None)
+    def test_matches_reference_on_scrambled_doubles(self, m, seed, count):
+        complex, plan = scrambled_double(m, seed, count), splitting_plan(m)
+        assert after_each_pair(complex, plan) == reference_remove_diagonals(complex, plan)
+
+    @pytest.mark.parametrize(
+        "build, plan, pattern",
+        [(box_pair_level, BOX_PAIR_LEVEL_PLAN, p) for p in box_pair_level_valid_patterns()]
+        + [(box_pair_step, BOX_PAIR_STEP_PLAN, p) for p in box_pair_step_valid_patterns()]
+        + [(box_over_corner, BOX_OVER_CORNER_PLAN, p) for p in box_over_corner_valid_patterns()],
+    )
+    def test_matches_reference_on_boxes(self, build, plan, pattern):
+        complex = build(*pattern)
+        assert after_each_pair(complex, plan) == reference_remove_diagonals(complex, plan)
+
+
+def after_each_pair(complex, plan):
+    """remove_diagonals' arrows (source, target, upower) after each plan pair.
+
+    Every pair but the last leaves arrows toward earlier subsets that depend
+    on which moves it chose; the last result is the returned complex's.
+    """
+    steps = []
+    clear_pair = filtered._clear_pair
+
+    def record(*args):
+        result = clear_pair(*args)
+        steps.append({(a.source, a.target, a.upower) for a in result.arrows})
+        return result
+
+    with mock.patch.object(filtered, "_clear_pair", record):
+        final = remove_diagonals(complex, plan)
+    assert steps[-1] == {(a.source, a.target, a.upower) for a in final.arrows}
+    return steps
+
 
 PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
     lambda half: Staircase(tuple(half + half[::-1]))
@@ -320,7 +361,64 @@ class TestIsomorphism:
         assert not isomorphic_up_to_shift(TREFOIL, other)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# records that use the schema's keys, well typed or not, so that fuzzing
+# reaches past the top level and loads complexes of every validity
+_NAMES = st.sampled_from(["s0", "s1", "s2"])
+_GRADINGS = st.integers(-2, 2)
+JSON_RECORDS = st.dictionaries(
+    st.sampled_from(["name", "alexander", "maslov", "from", "to", "upower"]),
+    _NAMES | _GRADINGS | JSON_VALUES,
+    max_size=6,
+)
+JSON_DOCUMENTS = (
+    JSON_VALUES
+    | st.dictionaries(
+        st.sampled_from(["generators", "arrows"]),
+        st.lists(JSON_RECORDS, max_size=3) | JSON_VALUES,
+        max_size=2,
+    )
+    | st.fixed_dictionaries({
+        "generators": st.lists(
+            st.fixed_dictionaries({"name": _NAMES, "alexander": _GRADINGS, "maslov": _GRADINGS})
+            | JSON_RECORDS,
+            max_size=4,
+        ),
+        "arrows": st.lists(
+            st.fixed_dictionaries({"from": _NAMES, "to": _NAMES, "upower": _GRADINGS})
+            | JSON_RECORDS,
+            max_size=4,
+        ),
+    })
+)
+
+
 class TestJson:
+    @given(
+        PALINDROMES.map(from_staircase)
+        | PALINDROMES.map(lambda s: tensor(from_staircase(s), from_staircase(s)))
+        | shuffled_scrambled_doubles()
+    )
+    @settings(deadline=None)
+    def test_valid_complexes_round_trip(self, complex):
+        assert validate(complex) is None
+        text = json.dumps(to_json_dict(complex))
+        assert complex_from_json_dict(json.loads(text)) == complex
+
+    @given(JSON_DOCUMENTS)
+    @settings(deadline=None)
+    def test_loader_raises_only_value_errors(self, document):
+        try:
+            complex = complex_from_json_dict(document)
+        except (ValueError, CFKError):
+            return
+        report = validate(complex)
+        assert report is None or isinstance(report, str)
+
     def test_round_trip_bit_exact(self):
         c = tensor(TREFOIL, from_staircase(Staircase((1, 2, 2, 1))))
         blob = json.dumps(to_json_dict(c), sort_keys=True)

@@ -5,21 +5,31 @@ writes an SVG is compared on the file it writes, the others on stdout.  The
 d1 case reads the T(3,4) tensor square from ``t34-square.json``, copied in
 under a fixed relative name because the ``file`` field echoes the path.
 Outputs too large to keep as files are pinned by length and SHA-256.
+Complex files with several faults must exit 1 with a one-line message that
+names the least faulty arrow.  The goldens and those messages are also
+replayed in fresh interpreters under fixed ``PYTHONHASHSEED`` values, since
+the order in which a set of arrows iterates follows string hashing.
 
 Regenerate (only when an output change is intended):
     PYTHONPATH=src python -m tests.test_goldens
 """
 
 import hashlib
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from cfktools import Staircase, from_staircase, to_json_dict
 from cfktools.cli import main
 
-GOLDENS = Path(__file__).parent / "goldens"
+ROOT = Path(__file__).parent.parent
+GOLDENS = ROOT / "tests" / "goldens"
 
 CASES = {
     "torus-3-4.json": ["--json", "torus", "3", "4"],
@@ -50,6 +60,31 @@ DIGESTS = {
 }
 
 
+
+def _t34_with(*arrows: tuple[str, str, int]) -> dict:
+    """The T(3,4) complex document with extra arrows (source, target, upower)."""
+    document = to_json_dict(from_staircase(Staircase((1, 2, 2, 1))))
+    document["arrows"] += [{"from": s, "to": t, "upower": a} for s, t, a in arrows]
+    return document
+
+
+# complex documents with several faults, and the stderr of `d1 --complex`
+# on each, recorded with arrows kept in sorted order
+FAILURES = {
+    "loose-arrows": (
+        _t34_with(("s3", "ghost", 1), ("s0", "s4", 0), ("s2", "nowhere", 0),
+                  ("phantom", "s0", 0), ("s1", "x9", 0)),
+        "Error: invalid complex: unknown-generator: arrow phantom->s0 has a loose end\n",
+    ),
+    "grading-faults": (
+        _t34_with(("s4", "s1", 3), ("s2", "s4", 7), ("s0", "s4", 0),
+                  ("s2", "s1", 1), ("s0", "s3", -2)),
+        "Error: invalid complex: filtration: arrow s0->s3 (upower -2) "
+        "raises a filtration level\n",
+    ),
+}
+
+
 def _run(name: str, workdir: Path) -> bytes:
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=workdir) as cwd:
@@ -61,9 +96,46 @@ def _run(name: str, workdir: Path) -> bytes:
         return result.stdout_bytes
 
 
+def _fail(name: str, workdir: Path) -> str:
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=workdir):
+        Path("bad.json").write_text(json.dumps(FAILURES[name][0]), encoding="utf-8")
+        result = runner.invoke(main, ["d1", "--complex", "bad.json"])
+        assert result.exit_code == 1, result.output
+        return result.stderr
+
+
+def mismatches(workdir: Path) -> list[str]:
+    """Every case whose output differs from its golden or recorded message."""
+    return [name for name in sorted(CASES) if _run(name, workdir) != (GOLDENS / name).read_bytes()] + [
+        name for name in sorted(FAILURES) if _fail(name, workdir) != FAILURES[name][1]
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     assert _run(name, tmp_path) == (GOLDENS / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_message_names_the_least_faulty_arrow(name, tmp_path):
+    assert _fail(name, tmp_path) == FAILURES[name][1]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_outputs_do_not_depend_on_string_hashing(hash_seed, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = "import sys; from tests.test_goldens import mismatches; print(*mismatches(sys.argv[1]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

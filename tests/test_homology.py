@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfktools import (
     NotAKnotComplex,
@@ -23,7 +24,7 @@ from cfktools import (
     validate,
 )
 
-from .complex_fixtures import scrambled_double, single_box, trefoil_with_mixed_box
+from .complex_fixtures import legal_moves, scrambled_double, single_box, trefoil_with_mixed_box
 from .oracles import brute_solve_gf2
 
 TORUS_STAIRCASES = [
@@ -32,6 +33,10 @@ TORUS_STAIRCASES = [
     for p in range(2, q)
     if math.gcd(p, q) == 1
 ]
+
+SMALL_PALINDROMES = st.lists(st.integers(1, 3), max_size=2).map(
+    lambda half: Staircase(tuple(half + half[::-1]))
+)
 
 
 class TestSolveGf2:
@@ -159,6 +164,27 @@ class TestD1Invariance:
         assert moves
         for move in moves:
             assert d1_general(basis_change(complex, move)) == base
+
+    @given(st.sampled_from(["D(1)", "D(2)", "T(3,4)^2"]), st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_under_random_basis_change_sequences(self, name, data):
+        t34 = from_staircase(Staircase((1, 2, 2, 1)))
+        complex = {
+            "D(1)": lambda: build_double_complex(1),
+            "D(2)": lambda: build_double_complex(2),
+            "T(3,4)^2": lambda: tensor(t34, t34),
+        }[name]()
+        base = d1_general(complex)
+        for move in data.draw(st.lists(st.sampled_from(legal_moves(complex)), max_size=8)):
+            complex = basis_change(complex, move)
+        assert validate(complex) is None
+        assert d1_general(complex) == base
+
+    @given(SMALL_PALINDROMES, SMALL_PALINDROMES)
+    @settings(deadline=None, max_examples=30)
+    def test_under_swapping_tensor_factors(self, a, b):
+        ca, cb = from_staircase(a), from_staircase(b)
+        assert d1_general(tensor(ca, cb)) == d1_general(tensor(cb, ca))
 
     def test_under_dropping_acyclic_summands(self):
         from cfktools import build_double_complex
