@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .filtered import FilteredComplex, from_staircase
+from .filtered import Arrow, FilteredComplex, from_staircase
 from .staircase import Staircase
 
 CELL = 40
@@ -21,9 +21,10 @@ DOT_RADIUS = 5
 PAD_CELLS = 1
 
 
-def _columns(complex: FilteredComplex) -> dict[str, int]:
+def _columns(complex: FilteredComplex, arrows: list[Arrow]) -> dict[str, int]:
+    """Column of each generator, walking neighbours in the order of arrows."""
     neighbours: dict[str, list[tuple[str, int]]] = {g.name: [] for g in complex.generators}
-    for a in sorted(complex.arrows):
+    for a in arrows:
         neighbours[a.source].append((a.target, -a.upower))
         neighbours[a.target].append((a.source, a.upower))
     cols: dict[str, int] = {}
@@ -42,13 +43,14 @@ def _columns(complex: FilteredComplex) -> dict[str, int]:
 
 
 def svg_for_complex(complex: FilteredComplex) -> str:
-    cols = _columns(complex)
+    ordered = sorted(complex.arrows)
+    cols = _columns(complex, ordered)
     dots = {
         g.name: (cols[g.name], g.alexander + cols[g.name])
         for g in complex.generators
     }
     arrows = []
-    for a in sorted(complex.arrows):
+    for a in ordered:
         x0, y0 = dots[a.source]
         tip = (x0 - a.upower, complex.generator(a.target).alexander + x0 - a.upower)
         arrows.append(((x0, y0), tip))

@@ -48,7 +48,10 @@ class BasisChange:
 
 
 class FilteredComplex:
-    """Immutable complex; operations return new values."""
+    """Immutable complex; operations return new values.
+
+    The adjacency lists behind ``arrows_from`` come in no particular order.
+    """
 
     __slots__ = ("generators", "arrows", "_by_name", "_out", "_in")
 
@@ -59,7 +62,7 @@ class FilteredComplex:
         object.__setattr__(self, "_by_name", {g.name: g for g in gens})
         out: dict[str, list[Arrow]] = {g.name: [] for g in gens}
         inc: dict[str, list[Arrow]] = {g.name: [] for g in gens}
-        for a in sorted(self.arrows):
+        for a in self.arrows:
             if a.source in out:
                 out[a.source].append(a)
             if a.target in inc:
@@ -81,9 +84,6 @@ class FilteredComplex:
 
     def arrows_from(self, name: str) -> list[Arrow]:
         return list(self._out[name])
-
-    def arrows_into(self, name: str) -> list[Arrow]:
-        return list(self._in[name])
 
     def with_arrows(self, arrows) -> "FilteredComplex":
         return FilteredComplex(self.generators, arrows)
@@ -107,10 +107,11 @@ def validate(complex: FilteredComplex) -> str | None:
     if dupes:
         return f"duplicate-name: generator names {sorted(dupes)} repeat"
     known = set(names)
-    for a in sorted(complex.arrows):
+    ordered = sorted(complex.arrows)
+    for a in ordered:
         if a.source not in known or a.target not in known:
             return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
-    for a in sorted(complex.arrows):
+    for a in ordered:
         src = complex.generator(a.source)
         tgt = complex.generator(a.target)
         if tgt.maslov - 2 * a.upower != src.maslov - 1:
@@ -186,30 +187,21 @@ def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
     return shift
 
 
-def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex:
-    """Apply y' = y + U^shift x.
+def _toggles(complex: FilteredComplex, move: BasisChange) -> set[Arrow]:
+    """Arrows that y' = y + U^shift x adds or cancels; raises if illegal.
 
     Arrows into y gain a copy landing on x; arrows out of x gain a copy
-    leaving y.  Coinciding arrows cancel mod 2.
+    leaving y.
     """
     shift = _shift_of(complex, move)
-    arrows = set(complex.arrows)
-    for a in complex.arrows_into(move.y):
-        arrows ^= {Arrow(a.source, move.x, a.upower + shift)}
-    for a in complex.arrows_from(move.x):
-        arrows ^= {Arrow(move.y, a.target, a.upower + shift)}
-    return complex.with_arrows(arrows)
+    toggles = {Arrow(a.source, move.x, a.upower + shift) for a in complex._in[move.y]}
+    toggles ^= {Arrow(move.y, a.target, a.upower + shift) for a in complex._out[move.x]}
+    return toggles
 
 
-def _legal_upower(complex: FilteredComplex, source: str, target: str) -> int | None:
-    src = complex.generator(source)
-    tgt = complex.generator(target)
-    if (tgt.maslov - src.maslov + 1) % 2:
-        return None
-    a = (tgt.maslov - src.maslov + 1) // 2
-    if a < 0 or tgt.alexander - a > src.alexander:
-        return None
-    return a
+def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex:
+    """Apply y' = y + U^shift x; coinciding arrows cancel mod 2."""
+    return complex.with_arrows(complex.arrows ^ _toggles(complex, move))
 
 
 def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> FilteredComplex:
@@ -218,8 +210,9 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
     The plan must partition the generators, and cross-subset arrows may only
     run from later subsets toward earlier ones.  Subsets are processed back
     to front; for each ordered pair the cross arrows are cleared by solving
-    for a set of basis changes whose combined toggles cancel them.  Toggles
-    aimed at even-earlier subsets are deferred to their own pass.
+    for a set of basis changes whose combined toggles cancel them, applied
+    in one rebuild of the complex per pair.  Toggles aimed at even-earlier
+    subsets are deferred to their own pass.
     """
     position: dict[str, int] = {}
     for idx, subset in enumerate(plan):
@@ -255,53 +248,47 @@ def _clear_pair(
     lo: int,
 ) -> FilteredComplex:
     hi_set, lo_set = set(hi_subset), set(lo_subset)
-    slots = [
-        (g, t)
-        for g in sorted(hi_set)
-        for t in sorted(lo_set)
-        if _legal_upower(complex, g, t) is not None
-    ]
-    if not slots:
-        return complex
-    slot_index = {pair: k for k, pair in enumerate(slots)}
-
+    # cross arrow (hi to lo) -> its GF(2) coordinate; the solve picks the same
+    # moves however the coordinates are numbered
+    bit: dict[Arrow, int] = {}
     target = 0
-    for g in sorted(hi_set):
+    for g in hi_set:
         for a in complex._out[g]:
             if a.target in lo_set:
-                target |= 1 << slot_index[(g, a.target)]
+                target |= 1 << bit.setdefault(a, len(bit))
     if target == 0:
         return complex
 
-    moves: list[BasisChange] = []
+    toggle_sets: list[set[Arrow]] = []
     columns: list[int] = []
     for y in sorted(hi_set):
         for x in sorted(lo_set):
-            move = BasisChange(x=x, y=y)
             try:
-                _shift_of(complex, move)
+                toggles = _toggles(complex, BasisChange(x=x, y=y))
             except IllegalBasisChange:
                 continue
-            flips = 0
-            for a in complex._in[y]:
-                if a.source in hi_set:
-                    flips ^= 1 << slot_index[(a.source, x)]
-            for a in complex._out[x]:
-                if a.target in lo_set:
-                    flips ^= 1 << slot_index[(y, a.target)]
-            if flips:
-                moves.append(move)
-                columns.append(flips)
+            column = 0
+            for a in toggles:
+                if a.source in hi_set and a.target in lo_set:
+                    column ^= 1 << bit.setdefault(a, len(bit))
+            if column:
+                toggle_sets.append(toggles)
+                columns.append(column)
 
     chosen = gf2.solve_masks(columns, target)
     if chosen is None:
         raise InadmissiblePlan(
             f"no basis-change sequence clears arrows from subset {hi} to subset {lo}"
         )
-    for k, move in enumerate(moves):
+    # A pair's moves commute, so their toggles, all read off this complex,
+    # apply as one update: each move reads only arrows into hi and out of lo,
+    # and adds only arrows out of hi or into lo, none of which runs into hi or
+    # out of lo because no arrow runs from an earlier subset to a later one.
+    arrows = set(complex.arrows)
+    for k, toggles in enumerate(toggle_sets):
         if (chosen >> k) & 1:
-            complex = basis_change(complex, move)
-    return complex
+            arrows ^= toggles
+    return complex.with_arrows(arrows)
 
 
 def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
