@@ -42,6 +42,7 @@ SCHEMA = "cfk-1"
 MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
 MAX_T2_TABLE = 50  # largest M for table --family t2:M
 MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates that many flags
+MAX_SQUARED_GENERATORS = 200  # largest complex diagram --tensor-square takes; the square has V^2
 
 
 def _parse_staircase(text: str) -> Staircase:
@@ -278,6 +279,10 @@ def diagram() -> None:
 def _write_svg(complex: FilteredComplex, path: str, square: bool = False) -> None:
     """Draw the complex, or its tensor square, to the SVG file at path."""
     if square:
+        if len(complex) > MAX_SQUARED_GENERATORS:
+            raise InvalidParameter(
+                f"--tensor-square needs <= {MAX_SQUARED_GENERATORS} generators, got {len(complex)}"
+            )
         complex = tensor(complex, complex)
     document = diagrams.svg_for_complex(complex)
     try:

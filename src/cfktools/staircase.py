@@ -95,11 +95,8 @@ def delta_whitehead(stair: Staircase) -> int:
 
 def tensor_vertex_multiset(s1: Staircase, s2: Staircase) -> list[Vertex]:
     """Pairwise coordinate sums with summed gradings."""
-    return [
-        Vertex(a.i + b.i, a.j + b.j, a.gr + b.gr)
-        for a in vertices(s1)
-        for b in vertices(s2)
-    ]
+    second = vertices(s2)
+    return [Vertex(a.i + b.i, a.j + b.j, a.gr + b.gr) for a in vertices(s1) for b in second]
 
 
 def alexander_of_staircase(stair: Staircase) -> LaurentPoly:

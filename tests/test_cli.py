@@ -14,6 +14,7 @@ from cfktools import (
     tau,
     to_json_dict,
 )
+from cfktools import cli
 from cfktools.cli import main
 
 from .complex_fixtures import single_box
@@ -230,6 +231,33 @@ class TestDiagram:
         result = runner.invoke(main, ["diagram", "complex", str(source), "--svg", str(out)])
         assert result.exit_code == 0
         assert self._counts(out) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["diagram", "torus", "2", "201"],
+            ["diagram", "staircase", ",".join(["1"] * 200)],
+            ["diagram", "complex", "big.json"],
+        ],
+        ids=["torus", "staircase", "complex"],
+    )
+    def test_tensor_square_above_the_cap_is_usage_error(self, runner, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(
+            json.dumps(to_json_dict(from_staircase(Staircase((1,) * 200))))
+        )
+        result = runner.invoke(main, args + ["--tensor-square", "--svg", "out.svg"])
+        assert result.exit_code == 2
+        assert "Error: --tensor-square needs <= 200 generators, got 201\n" in result.output
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_tensor_square_cap_is_inclusive(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SQUARED_GENERATORS", 5)
+        svg = ["--tensor-square", "--svg", str(tmp_path / "sq.svg")]
+        assert runner.invoke(main, ["diagram", "torus", "3", "4"] + svg).exit_code == 0
+        result = runner.invoke(main, ["diagram", "staircase", "1,1,1,1,1,1"] + svg)
+        assert result.exit_code == 2
+        assert "Error: --tensor-square needs <= 5 generators, got 7\n" in result.output
 
     def test_unwritable_path_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -137,6 +137,17 @@ def test_tensor_vertex_multiset_profiles():
     assert unit == vertices(TREFOIL)
 
 
+def test_tensor_vertex_multiset_walks_each_factor_once(monkeypatch):
+    from cfktools import staircase
+
+    calls = []
+    walk = staircase.vertices
+    monkeypatch.setattr(staircase, "vertices", lambda stair: calls.append(stair) or walk(stair))
+    product = tensor_vertex_multiset(T34, Staircase((1,) * 6))
+    assert len(product) == 5 * 7
+    assert len(calls) == 2
+
+
 def test_alexander_of_staircase_examples():
     assert alexander_of_staircase(TREFOIL) == LaurentPoly({-1: 1, 0: -1, 1: 1})
     assert alexander_of_staircase(T34) == alexander_torus(3, 4)
