@@ -42,7 +42,7 @@ SCHEMA = "cfk-1"
 MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
 MAX_T2_TABLE = 50  # largest M for table --family t2:M
 MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates that many flags
-MAX_SQUARED_GENERATORS = 200  # largest complex diagram --tensor-square takes; the square has V^2
+MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 
 
 def _parse_staircase(text: str) -> Staircase:

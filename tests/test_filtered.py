@@ -68,6 +68,26 @@ def cross_arrows(complex, plan):
     return [a for a in complex.arrows if position[a.source] != position[a.target]]
 
 
+def after_each_pair(complex, plan):
+    """remove_diagonals' arrows (source, target, upower) after each plan pair.
+
+    Every pair but the last leaves arrows toward earlier subsets that depend
+    on which moves it chose; the last result is the returned complex's.
+    """
+    steps = []
+    clear_pair = filtered._clear_pair
+
+    def record(*args):
+        result = clear_pair(*args)
+        steps.append({(a.source, a.target, a.upower) for a in result.arrows})
+        return result
+
+    with mock.patch.object(filtered, "_clear_pair", record):
+        final = remove_diagonals(complex, plan)
+    assert steps[-1] == {(a.source, a.target, a.upower) for a in final.arrows}
+    return steps
+
+
 class TestFromStaircase:
     def test_trefoil(self):
         assert validate(TREFOIL) is None
@@ -284,26 +304,6 @@ class TestRemoveDiagonals:
         assert after_each_pair(complex, plan) == reference_remove_diagonals(complex, plan)
 
 
-def after_each_pair(complex, plan):
-    """remove_diagonals' arrows (source, target, upower) after each plan pair.
-
-    Every pair but the last leaves arrows toward earlier subsets that depend
-    on which moves it chose; the last result is the returned complex's.
-    """
-    steps = []
-    clear_pair = filtered._clear_pair
-
-    def record(*args):
-        result = clear_pair(*args)
-        steps.append({(a.source, a.target, a.upower) for a in result.arrows})
-        return result
-
-    with mock.patch.object(filtered, "_clear_pair", record):
-        final = remove_diagonals(complex, plan)
-    assert steps[-1] == {(a.source, a.target, a.upower) for a in final.arrows}
-    return steps
-
-
 PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
     lambda half: Staircase(tuple(half + half[::-1]))
 )
@@ -363,7 +363,9 @@ class TestIsomorphism:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
     max_leaves=8,
 )
 # records that use the schema's keys, well typed or not, so that fuzzing

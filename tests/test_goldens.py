@@ -60,7 +60,6 @@ DIGESTS = {
 }
 
 
-
 def _t34_with(*arrows: tuple[str, str, int]) -> dict:
     """The T(3,4) complex document with extra arrows (source, target, upower)."""
     document = to_json_dict(from_staircase(Staircase((1, 2, 2, 1))))
@@ -107,9 +106,8 @@ def _fail(name: str, workdir: Path) -> str:
 
 def mismatches(workdir: Path) -> list[str]:
     """Every case whose output differs from its golden or recorded message."""
-    return [name for name in sorted(CASES) if _run(name, workdir) != (GOLDENS / name).read_bytes()] + [
-        name for name in sorted(FAILURES) if _fail(name, workdir) != FAILURES[name][1]
-    ]
+    wrong = [name for name in sorted(CASES) if _run(name, workdir) != (GOLDENS / name).read_bytes()]
+    return wrong + [name for name in sorted(FAILURES) if _fail(name, workdir) != FAILURES[name][1]]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -125,7 +123,7 @@ def test_message_names_the_least_faulty_arrow(name, tmp_path):
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_outputs_do_not_depend_on_string_hashing(hash_seed, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    script = "import sys; from tests.test_goldens import mismatches; print(*mismatches(sys.argv[1]))"
+    script = "import sys; from tests.test_goldens import mismatches as m; print(*m(sys.argv[1]))"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
         cwd=ROOT,
