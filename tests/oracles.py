@@ -3,13 +3,16 @@
 Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
 set-based component search that builds only the library's data type, the
-O(V^2) pair loop for delta(D(K)) over a walk of the step vector, and a
-move-by-move diagonal elimination over plain arrow tuples.
+O(V^2) pair loop for delta(D(K)) over a walk of the step vector, a
+move-by-move diagonal elimination over plain arrow tuples, and the d1
+search as one span test per U-power.
 """
 
 from __future__ import annotations
 
-from cfktools import FilteredComplex, Staircase
+from collections.abc import Iterator
+
+from cfktools import FilteredComplex, Staircase, hat_generator
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -192,3 +195,68 @@ def reference_remove_diagonals(
                 arrows = _apply_move(arrows, x, y, shift)
             after_each_pair.append(arrows)
     return after_each_pair
+
+
+def _in_span(columns: list[int], target: int) -> bool:
+    """Is target an XOR of some of the columns?  An XOR basis kept in
+    descending order, so each vector has a distinct leading bit."""
+    basis: list[int] = []
+    for col in columns:
+        for b in basis:
+            col = min(col, col ^ b)
+        if col:
+            basis = sorted(basis + [col], reverse=True)
+    for b in basis:
+        target = min(target, target ^ b)
+    return target == 0
+
+
+def d1_search_cap(complex: FilteredComplex) -> int:
+    """Last U-power the probe loop tries: the Alexander spread plus 4."""
+    alexanders = [g.alexander for g in complex.generators] or [0]
+    return max(0, max(alexanders)) - min(0, min(alexanders)) + 4
+
+
+def reference_probes(complex: FilteredComplex) -> Iterator[bool]:
+    """For n = 0, 1, ... up to the cap: is U^(n+1) * xi a boundary modulo
+    the i<0, j<0 subcomplex?
+
+    Each probe rebuilds the slices at its own levels: at Maslov level m the
+    translate U^k g with k = (maslov - m) / 2 is kept while k <= max(0, A).
+    """
+    xi = hat_generator(complex).terms
+    out: dict[str, list[tuple[str, int]]] = {g.name: [] for g in complex.generators}
+    for a in complex.arrows:
+        out[a.source].append((a.target, a.upower))
+
+    def translates(m: int) -> list[tuple[str, int]]:
+        kept = []
+        for g in complex.generators:
+            k, odd = divmod(g.maslov - m, 2)
+            if not odd and k <= max(0, g.alexander):
+                kept.append((g.name, k))
+        return kept
+
+    for n in range(d1_search_cap(complex) + 1):
+        level = -2 * (n + 1)
+        rows = {key: bit for bit, key in enumerate(translates(level))}
+        target = 0
+        for name, k in xi:
+            if (name, k + n + 1) in rows:
+                target ^= 1 << rows[(name, k + n + 1)]
+        columns = []
+        for name, k in translates(level + 1):
+            col = 0
+            for head, upower in out[name]:
+                if (head, k + upower) in rows:
+                    col ^= 1 << rows[(head, k + upower)]
+            columns.append(col)
+        yield _in_span(columns, target)
+
+
+def reference_d1(complex: FilteredComplex) -> int:
+    """-2 * the first n whose probe dies."""
+    for n, dies in enumerate(reference_probes(complex)):
+        if dies:
+            return -2 * n
+    raise AssertionError("no probe died within the cap")

@@ -24,8 +24,10 @@ from cfktools import (
     validate,
 )
 
+from cfktools import remove_diagonals, splitting_plan
+
 from .complex_fixtures import legal_moves, scrambled_double, single_box, trefoil_with_mixed_box
-from .oracles import brute_solve_gf2
+from .oracles import brute_solve_gf2, reference_d1, reference_probes
 
 TORUS_STAIRCASES = [
     staircase_from_alexander(alexander_torus(p, q))
@@ -37,6 +39,20 @@ TORUS_STAIRCASES = [
 SMALL_PALINDROMES = st.lists(st.integers(1, 3), max_size=2).map(
     lambda half: Staircase(tuple(half + half[::-1]))
 )
+
+PALINDROMES = st.lists(st.integers(1, 4), max_size=3).map(
+    lambda half: Staircase(tuple(half + half[::-1]))
+)
+
+# T(p,q)'s staircase has at least q generators, so q <= 17 reaches every
+# coprime square of up to 289 generators
+TORUS_SQUARES_TO_289 = [
+    (p, q)
+    for q in range(3, 18)
+    for p in range(2, q)
+    if math.gcd(p, q) == 1
+    and (len(staircase_from_alexander(alexander_torus(p, q)).steps) + 1) ** 2 <= 289
+]
 
 
 class TestSolveGf2:
@@ -140,6 +156,50 @@ class TestD1General:
     def test_tensor_square_matches_whitehead_delta(self, stair):
         c = from_staircase(stair)
         assert 2 * d1_general(tensor(c, c)) == delta_whitehead(stair)
+
+
+class TestD1AgainstReference:
+    """d1_general against the probe-per-U-power search of tests/oracles.py."""
+
+    @pytest.mark.parametrize("p,q", TORUS_SQUARES_TO_289)
+    def test_torus_squares(self, p, q):
+        square = _torus_square(p, q)
+        assert d1_general(square) == reference_d1(square)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_double_squares(self, m):
+        double = build_double_complex(m)
+        square = tensor(double, double)
+        assert d1_general(square) == reference_d1(square)
+
+    @staticmethod
+    def _check_with_every_probe(complex):
+        """Once a probe dies every later one does, so the first death is d1."""
+        probes = list(reference_probes(complex))
+        first = probes.index(True)
+        assert all(probes[first:])
+        assert d1_general(complex) == -2 * first
+
+    @given(PALINDROMES, PALINDROMES)
+    @settings(deadline=None, max_examples=40)
+    def test_palindrome_tensors(self, a, b):
+        self._check_with_every_probe(tensor(from_staircase(a), from_staircase(b)))
+
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=20)
+    def test_scrambled_and_cleaned_doubles(self, m, seed):
+        scrambled = scrambled_double(m, seed)
+        self._check_with_every_probe(scrambled)
+        self._check_with_every_probe(remove_diagonals(scrambled, splitting_plan(m)))
+
+    @given(PALINDROMES, PALINDROMES)
+    @settings(deadline=None, max_examples=40)
+    def test_bounded_by_the_generator_gradings(self, a, b):
+        """U^(n+1) xi leaves the quotient once n reaches every term's max(0, A)."""
+        complex = tensor(from_staircase(a), from_staircase(b))
+        gens = {g.name: g for g in complex.generators}
+        reach = max(max(0, gens[name].alexander) for name, _ in hat_generator(complex).terms)
+        assert d1_general(complex) >= -2 * reach
 
 
 class TestD1Invariance:
