@@ -25,9 +25,5 @@ class NotAKnotComplex(CFKError):
     """Column homology is not one-dimensional in grading zero."""
 
 
-class NoTermination(CFKError):
-    """Surgery-invariant search exceeded its safety cap; input is suspect."""
-
-
 class InvalidParameter(CFKError):
     """Numeric parameter outside the documented range."""

@@ -14,6 +14,17 @@ translate, U^k g with k = (g.maslov - m) / 2 when that is an integer, and the
 slice keeps those its rule admits.  The i = 0 column admits k = 0, the
 quotient by the all-negative subcomplex k <= max(0, alexander).  So every
 slice is finite and no truncation is ever needed.
+
+The d1 search is one GF(2) reduction, by three facts about probe n ("is
+U^(n+1) xi a boundary in the quotient at level -2(n+1)?").  The probes share
+one matrix: name each translate by its generator; U commutes with d, so every
+probe has the same rows (even Maslov), columns (odd Maslov) and boundary
+masks.  Only the quotient shrinks as n grows: U^k t at level L stays in it iff
+L >= t.maslov - 2 * max(0, t.alexander).  Columns out of the quotient add
+nothing, as the filtration sends their boundary into the subcomplex, so the
+n = 0 probe's columns serve every n.  Number the rows that leave first lowest:
+then probe n dies iff the minimum of U xi modulo the column span lies in the
+rows gone by then.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
 from . import gf2
-from .errors import NoTermination, NotAKnotComplex
+from .errors import NotAKnotComplex
 from .filtered import FilteredComplex, Generator
 
 
@@ -131,36 +142,23 @@ def hat_generator(complex: FilteredComplex) -> Cycle:
     raise NotAKnotComplex("no surviving cycle at grading 0")
 
 
-def _dies_in_quotient(complex: FilteredComplex, terms: list[tuple[str, int]],
-                      level: int) -> bool:
-    """Is the class of the given chain zero in the i>=0-or-j>=0 quotient?
-
-    The chain is a boundary there iff it equals d(y) plus a subcomplex
-    element, which is a finite GF(2) solve over the two relevant slices.
-    """
-    rows = _slice(complex.generators, level, _in_quotient)
-    target = 0
-    for key in terms:
-        if key in rows:
-            target ^= 1 << rows[key]
-    if target == 0:
-        return True
-    above = _slice(complex.generators, level + 1, _in_quotient)
-    return gf2.solve_masks(_boundary_masks(complex, above, rows), target) is not None
-
-
 def d1_general(complex: FilteredComplex) -> int:
-    """Correction term of +1 surgery, by the U-power death search."""
+    """Correction term of +1 surgery, by the U-power death search.
+
+    Reduces the n = 0 probe (levels -2 and -1) once, each row's bit ranked by
+    how many more U-powers it stays in the quotient.  A zero coset minimum
+    means n = 0; otherwise n is the first probe its leading row has left.
+    """
     xi = hat_generator(complex)
-    # U^(n+1) xi lands entirely in the subcomplex once n passes every term's
-    # alexander grading, so the spread across the origin bounds the search
-    alexanders = [g.alexander for g in complex.generators] or [0]
-    cap = max(0, max(alexanders)) - min(0, min(alexanders)) + 4
-    for n in range(cap + 1):
-        shifted = [(name, k + n + 1) for name, k in xi.terms]
-        if _dies_in_quotient(complex, shifted, xi.maslov - 2 * (n + 1)):
-            return -2 * n
-    raise NoTermination(f"no U-power of the generator died within {cap} steps")
+    gens = {g.name: g for g in complex.generators}
+    stays = {key: max(0, gens[key[0]].alexander) - key[1]
+             for key in _slice(complex.generators, -2, _in_quotient)}
+    order = sorted(stays, key=stays.__getitem__)
+    rows = {key: bit for bit, key in enumerate(order)}
+    target = sum(1 << rows[(name, k + 1)] for name, k in xi.terms if (name, k + 1) in rows)
+    columns = _slice(complex.generators, -1, _in_quotient)
+    (r,) = gf2.coset_minima([target], _boundary_masks(complex, columns, rows))
+    return -2 * (1 + stays[order[r.bit_length() - 1]]) if r else 0
 
 
 def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:

@@ -148,6 +148,23 @@ class TestD1General:
         assert d1_general(tensor(t, t)) == -2
         assert d1_general(tensor(t, t)) == delta_whitehead(Staircase((1, 1))) // 2
 
+    def test_one_reduction_on_a_large_square(self, monkeypatch):
+        """T(7,11)^2 took 19 solves, one per U-power; now hat_generator's coset
+        minimum and the search's are the only GF(2) reductions of that kind."""
+        from collections import Counter
+
+        from cfktools import gf2
+
+        calls = Counter()
+        for name in ("solve_masks", "coset_minima"):
+            def counted(*args, _name=name, _wrapped=getattr(gf2, name)):
+                calls[_name] += 1
+                return _wrapped(*args)
+
+            monkeypatch.setattr(gf2, name, counted)
+        assert d1_general(_torus_square(7, 11)) == -36
+        assert calls == {"coset_minima": 2}
+
     @pytest.mark.parametrize("stair", TORUS_STAIRCASES, ids=str)
     def test_matches_closed_form(self, stair):
         assert d1_general(from_staircase(stair)) == d1_closed_form(stair)
