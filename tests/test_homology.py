@@ -17,14 +17,14 @@ from cfktools import (
     hat_generator,
     hat_homology_ranks,
     is_acyclic,
+    remove_diagonals,
     solve_gf2,
     split_summands,
+    splitting_plan,
     staircase_from_alexander,
     tensor,
     validate,
 )
-
-from cfktools import remove_diagonals, splitting_plan
 
 from .complex_fixtures import legal_moves, scrambled_double, single_box, trefoil_with_mixed_box
 from .oracles import brute_solve_gf2, reference_d1, reference_probes
@@ -149,8 +149,8 @@ class TestD1General:
         assert d1_general(tensor(t, t)) == delta_whitehead(Staircase((1, 1))) // 2
 
     def test_one_reduction_on_a_large_square(self, monkeypatch):
-        """T(7,11)^2 took 19 solves, one per U-power; now hat_generator's coset
-        minimum and the search's are the only GF(2) reductions of that kind."""
+        """T(7,11)^2's first probe to die is its 19th (n = 18), yet the search
+        solves nothing: its coset minimum and hat_generator's are all it takes."""
         from collections import Counter
 
         from cfktools import gf2
