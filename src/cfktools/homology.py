@@ -150,8 +150,8 @@ def d1_general(complex: FilteredComplex) -> int:
     means n = 0; otherwise n is the first probe its leading row has left.
     """
     xi = hat_generator(complex)
-    gens = {g.name: g for g in complex.generators}
-    stays = {key: max(0, gens[key[0]].alexander) - key[1]
+    alexander = {g.name: g.alexander for g in complex.generators}
+    stays = {key: max(0, alexander[key[0]]) - key[1]
              for key in _slice(complex.generators, -2, _in_quotient)}
     order = sorted(stays, key=stays.__getitem__)
     rows = {key: bit for bit, key in enumerate(order)}
