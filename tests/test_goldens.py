@@ -45,7 +45,8 @@ CASES = {
     "diagram-double-1.svg": ["diagram", "double", "1", "--svg", "out.svg"],
 }
 
-# stdout length and SHA-256, recorded with the O(V^2) pair loop of delta_whitehead
+# stdout length and SHA-256; the first two recorded with the O(V^2) pair loop
+# of delta_whitehead, the JSON ones at size with json.dumps(indent=2) as encoder
 DIGESTS = {
     "table-torus-30.csv": (
         ["table", "--family", "torus:30", "--format", "csv"],
@@ -56,6 +57,21 @@ DIGESTS = {
         ["--json", "torus", "27", "29"],
         41_403,
         "b6e996a39338ca41b368a4c0b952fad6176df025c3fb0c3fae9871bfd5f45ba3",
+    ),
+    "table-torus-30.json": (
+        ["--json", "table", "--family", "torus:30"],
+        432_717,
+        "99ef4cdc4509e32e27b9e43824fbf48224276f9c8efeb6fcb08b96d79796f3da",
+    ),
+    "classify-torus-29-30.json": (
+        ["--json", "classify", "torus", "29", "30"],
+        796,
+        "63c935e158f94cbb9bbe442ee856ed5e3d9995787bcb7a2cec53c556ed75c03a",
+    ),
+    "torus-97-99.json": (
+        ["--json", "torus", "97", "99"],
+        527_107,
+        "005eb58173fd48962dff4382a5208526d9e58e5e5b4702f95b53c92c89377705",
     ),
 }
 
