@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain
 
 import click
 
@@ -97,10 +98,86 @@ def _knot_report(knot: str, stair: Staircase) -> dict:
     }
 
 
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+class _Unsupported(Exception):
+    """A value _encode leaves to json.dumps."""
+
+
+def _dumps(document) -> str:
+    """Exactly json.dumps(document, indent=2, sort_keys=True), mostly in C.
+
+    With indent set, json.dumps runs its pure-Python encoder.  Here each leaf
+    container (a dict with str keys, or a list, whose values are all exactly
+    str, int, bool or None) and each list of non-empty leaf containers of one
+    type is one call of the C encoder, whose item separator carries the
+    newline and indentation; only the containers above them recurse in
+    Python.  Any other value sends the whole document to json.dumps.
+    """
+    try:
+        return _encode(document, "\n")
+    # _encode takes more stack per level than json.dumps, which may still manage
+    except (_Unsupported, RecursionError):
+        return json.dumps(document, indent=2, sort_keys=True)
+
+
+def _encode(value, newline: str) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) prints it on a line that
+    starts with newline (a newline and that line's indentation)."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return json.dumps(value)
+    if kind is not dict and kind is not list:
+        raise _Unsupported
+    if not value:
+        return json.dumps(value)
+    if kind is dict and set(map(type, value)) != {str}:
+        raise _Unsupported
+    inner = newline + "  "
+    values = value.values() if kind is dict else value
+    if _SCALARS.issuperset(map(type, values)):
+        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    element = _leaf_type(value) if kind is list else None
+    if element is not None:
+        # An encoded string holds no raw newline, so "," + indent is always an
+        # item separator; inside a leaf one sits between a scalar's last
+        # character and a key or scalar, never next to a bracket.  So only the
+        # boundaries between elements hold "}," or "]," + separator + "{" or "[".
+        deeper = inner + "  "
+        text = json.dumps(value, sort_keys=True, separators=("," + deeper, ": "))
+        close, open_ = ("}", "{") if element is dict else ("]", "[")
+        body = text[2:-2].replace(close + "," + deeper + open_,
+                                  inner + close + "," + inner + open_ + deeper)
+        return "[" + inner + open_ + deeper + body + inner + close + newline + "]"
+    if kind is dict:
+        items = [json.dumps(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [_encode(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _leaf_type(items: list):
+    """dict or list if items are non-empty leaf containers of that one type, else None."""
+    kinds = set(map(type, items))
+    if kinds == {dict}:
+        if set(map(type, chain.from_iterable(items))) != {str}:
+            return None
+        values = chain.from_iterable(map(dict.values, items))
+    elif kinds == {list}:
+        values = chain.from_iterable(items)
+    else:
+        return None
+    if all(items) and _SCALARS.issuperset(map(type, values)):
+        return kinds.pop()
+    return None
+
+
 def _emit(ctx: click.Context, payload: dict, text: str) -> None:
     if ctx.obj.get("json"):
         document = {"schema": SCHEMA, **payload}
-        click.echo(json.dumps(document, indent=2, sort_keys=True))
+        click.echo(_dumps(document))
     else:
         click.echo(text)
 
@@ -397,7 +474,7 @@ def table(ctx: click.Context, family: str, fmt: str) -> None:
             "family": family,
             "rows": [{k: row[k] for k in header} for row in rows],
         }
-        click.echo(json.dumps(document, indent=2, sort_keys=True))
+        click.echo(_dumps(document))
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -1,10 +1,12 @@
 import csv
+import functools
 import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from cfktools import (
     Staircase,
@@ -152,6 +154,58 @@ class TestD1Command:
         result = runner.invoke(main, ["d1", "--complex", str(path)])
         assert result.exit_code == 1
         assert result.output == "Error: malformed complex document: 'upower' must be int, got 1.9\n"
+
+    def test_file_name_is_escaped(self, runner, tmp_path, monkeypatch):
+        name = 'odd "name" \\ }],[{ é.json'
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(json.dumps(to_json_dict(from_staircase(Staircase((1, 1))))))
+        result = runner.invoke(main, ["--json", "d1", "--complex", name])
+        assert result.exit_code == 0, result.output
+        expected = {"schema": "cfk-1", "file": name, "generators": 3, "hat_ranks": {"0": 1}, "d1": -2}
+        assert result.stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+# characters that could confuse the encoder's bracket and separator handling
+_TEXT = st.text(st.sampled_from(list('{}[],:"\\\n\t\x00é☃\ud800 a0')), max_size=6)
+_SCALAR = (
+    _TEXT
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.booleans()
+    | st.none()
+)
+_LEAF = st.dictionaries(_TEXT, _SCALAR, max_size=3) | st.lists(_SCALAR, max_size=3)
+_DOCUMENT = st.recursive(
+    _SCALAR | st.floats(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=3), max_size=4)
+        | st.lists(st.lists(_SCALAR, max_size=3), max_size=4)
+        # routes that must fall back to json.dumps whole
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.lists(_LEAF, max_size=3).map(lambda items: items + [1.5])
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    @settings(deadline=None, max_examples=400)
+    @given(_DOCUMENT)
+    def test_matches_json_dumps(self, document):
+        assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("document", [
+        {"rows": [{}, {"a": 1}], "pairs": [[1, 2], []]},
+        [{"a": [1]}, {"b": 2}],
+        {"a": {"b": {}}, "c": [[[]]], "d": ""},
+        # deeper than _encode's stack allows, though not json.dumps'
+        functools.reduce(lambda inner, _: [inner], range(700), 0),
+    ])
+    def test_edge_documents(self, document):
+        assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
 _LOOSE = to_json_dict(from_staircase(Staircase((1, 1))))
