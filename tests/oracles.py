@@ -4,8 +4,9 @@ Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
 set-based component search that builds only the library's data type, the
 O(V^2) pair loop for delta(D(K)) over a walk of the step vector, a
-move-by-move diagonal elimination over plain arrow tuples, and the d1
-search as one span test per U-power.
+move-by-move diagonal elimination over plain arrow tuples, the column
+homology over slices keyed by (generator, upower), and the d1 search as one
+span test per U-power.
 """
 
 from __future__ import annotations
@@ -209,6 +210,83 @@ def _in_span(columns: list[int], target: int) -> bool:
     for b in basis:
         target = min(target, target ^ b)
     return target == 0
+
+
+def _xor_basis(columns: list[int]) -> list[tuple[int, int]]:
+    """(vector, combination) rows spanning the columns, in descending order so
+    each has a distinct leading bit; a combination is a mask over the columns
+    that XOR to its vector.  Columns that reduce to zero are kernel elements,
+    returned as rows with vector 0 after the basis rows."""
+    basis: list[tuple[int, int]] = []
+    kernel: list[tuple[int, int]] = []
+    for j, col in enumerate(columns):
+        combo = 1 << j
+        for vec, vcombo in basis:
+            if col ^ vec < col:
+                col, combo = col ^ vec, combo ^ vcombo
+        if col:
+            basis = sorted(basis + [(col, combo)], reverse=True)
+        else:
+            kernel.append((0, combo))
+    return basis + kernel
+
+
+def _column_slice(complex: FilteredComplex, level: int) -> dict[tuple[str, int], int]:
+    """Bit index of each translate U^0 g with g at the Maslov level."""
+    index: dict[tuple[str, int], int] = {}
+    for g in complex.generators:
+        drop = g.maslov - level
+        if drop % 2 == 0 and drop // 2 == 0:
+            index[(g.name, 0)] = len(index)
+    return index
+
+
+def _column_boundaries(complex: FilteredComplex, sources: dict[tuple[str, int], int],
+                       targets: dict[tuple[str, int], int]) -> list[int]:
+    """Differential of each source translate, as a mask over the target bits."""
+    masks = []
+    for name, k in sources:
+        mask = 0
+        for a in complex.arrows:
+            if a.source == name:
+                bit = targets.get((a.target, k + a.upower))
+                if bit is not None:
+                    mask ^= 1 << bit
+        masks.append(mask)
+    return masks
+
+
+def reference_hat_ranks(complex: FilteredComplex) -> dict[int, int]:
+    """Column homology ranks: each level's size less the ranks of the boundary
+    out of it and into it."""
+    def boundary_rank(m: int) -> int:
+        masks = _column_boundaries(complex, _column_slice(complex, m), _column_slice(complex, m - 1))
+        return sum(1 for vec, _ in _xor_basis(masks) if vec)
+
+    ranks = {}
+    for m in sorted({g.maslov for g in complex.generators}):
+        h = len(_column_slice(complex, m)) - boundary_rank(m) - boundary_rank(m + 1)
+        if h:
+            ranks[m] = h
+    return ranks
+
+
+def reference_hat_generator(complex: FilteredComplex) -> tuple[tuple[str, int], ...]:
+    """Terms of the least grading-0 cycle that is no boundary, its bits in
+    name order: a kernel vector outside the boundary span, reduced to the
+    minimum of its coset."""
+    assert reference_hat_ranks(complex) == {0: 1}
+    level0 = {key: bit for bit, key in enumerate(sorted(_column_slice(complex, 0)))}
+    below, above = _column_slice(complex, -1), _column_slice(complex, 1)
+    cycles = [combo for vec, combo in _xor_basis(_column_boundaries(complex, level0, below))
+              if not vec]
+    boundaries = [vec for vec, _ in _xor_basis(_column_boundaries(complex, above, level0)) if vec]
+    for cycle in cycles:
+        for vec in boundaries:
+            cycle = min(cycle, cycle ^ vec)
+        if cycle:
+            return tuple(key for key, bit in level0.items() if (cycle >> bit) & 1)
+    raise AssertionError("every grading-0 cycle is a boundary")
 
 
 def d1_search_cap(complex: FilteredComplex) -> int:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfktools import (
+    Arrow,
+    FilteredComplex,
+    Generator,
     NotAKnotComplex,
     Staircase,
     alexander_torus,
@@ -27,7 +30,13 @@ from cfktools import (
 )
 
 from .complex_fixtures import legal_moves, scrambled_double, single_box, trefoil_with_mixed_box
-from .oracles import brute_solve_gf2, reference_d1, reference_probes
+from .oracles import (
+    brute_solve_gf2,
+    reference_d1,
+    reference_hat_generator,
+    reference_hat_ranks,
+    reference_probes,
+)
 
 TORUS_STAIRCASES = [
     staircase_from_alexander(alexander_torus(p, q))
@@ -134,6 +143,47 @@ class TestHatGenerator:
         )
         assert hat_homology_ranks(square) == {0: 1}
         assert hat_generator(square).maslov == 0
+
+
+class TestColumnAgainstReference:
+    """The column homology against the per-level slices of tests/oracles.py."""
+
+    @staticmethod
+    def _check(complex):
+        assert hat_homology_ranks(complex) == reference_hat_ranks(complex)
+        assert hat_generator(complex).terms == reference_hat_generator(complex)
+
+    @pytest.mark.parametrize("p,q", TORUS_SQUARES_TO_289)
+    def test_torus_squares(self, p, q):
+        self._check(_torus_square(p, q))
+
+    @given(PALINDROMES, PALINDROMES)
+    @settings(deadline=None, max_examples=40)
+    def test_palindrome_tensors(self, a, b):
+        self._check(tensor(from_staircase(a), from_staircase(b)))
+
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=20)
+    def test_scrambled_and_cleaned_doubles(self, m, seed):
+        scrambled = scrambled_double(m, seed)
+        self._check(scrambled)
+        self._check(remove_diagonals(scrambled, splitting_plan(m)))
+
+    @pytest.mark.parametrize("build", [single_box, trefoil_with_mixed_box], ids=lambda f: f.__name__)
+    def test_ranks_of_other_complexes(self, build):
+        assert hat_homology_ranks(build()) == reference_hat_ranks(build())
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_ranks_of_unchecked_complexes(self, data):
+        """Arrows validate would reject (any upower, any levels, loose ends)
+        count in the column only as U^0 g -> U^0 h, g one level above h."""
+        maslovs = data.draw(st.lists(st.integers(-2, 2), max_size=7))
+        gens = [Generator(f"g{k}", 0, m) for k, m in enumerate(maslovs)]
+        ends = st.sampled_from([g.name for g in gens] + ["ghost"])
+        arrows = data.draw(st.lists(st.builds(Arrow, ends, ends, st.integers(0, 2)), max_size=12))
+        complex = FilteredComplex(gens, arrows)
+        assert hat_homology_ranks(complex) == reference_hat_ranks(complex)
 
 
 class TestD1General:
