@@ -19,21 +19,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from . import gf2
 from .errors import IllegalBasisChange, InadmissiblePlan
 from .staircase import Staircase, vertices
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     alexander: int
     maslov: int
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: str
     target: str
     upower: int
@@ -106,14 +105,14 @@ def validate(complex: FilteredComplex) -> str | None:
     dupes = [n for n, k in Counter(names).items() if k > 1]
     if dupes:
         return f"duplicate-name: generator names {sorted(dupes)} repeat"
-    known = set(names)
+    by_name = complex._by_name
     ordered = sorted(complex.arrows)
     for a in ordered:
-        if a.source not in known or a.target not in known:
+        if a.source not in by_name or a.target not in by_name:
             return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
     for a in ordered:
-        src = complex.generator(a.source)
-        tgt = complex.generator(a.target)
+        src = by_name[a.source]
+        tgt = by_name[a.target]
         if tgt.maslov - 2 * a.upower != src.maslov - 1:
             return (
                 f"maslov: arrow {a.source}->{a.target} (upower {a.upower}) "
@@ -124,14 +123,15 @@ def validate(complex: FilteredComplex) -> str | None:
                 f"filtration: arrow {a.source}->{a.target} (upower {a.upower}) "
                 f"raises a filtration level"
             )
+    out = complex._out
     for g in complex.generators:
-        second = Counter()
-        for a in complex._out[g.name]:
-            for b in complex._out[a.target]:
-                second[(b.target, a.upower + b.upower)] += 1
-        odd = sorted(k for k, v in second.items() if v % 2)
+        # (end, upower) of the two-step paths out of g that occur an odd number
+        # of times; one middle's arrows all differ, so each toggles as a set
+        odd: set[tuple[str, int]] = set()
+        for _, middle, up in out[g.name]:
+            odd ^= {(end, up + down) for _, end, down in out[middle]}
         if odd:
-            return f"d-squared: d²({g.name}) contains {odd}"
+            return f"d-squared: d²({g.name}) contains {sorted(odd)}"
     return None
 
 

@@ -13,7 +13,11 @@ built by one rule: at Maslov level m each U-orbit contributes exactly one
 translate, U^k g with k = (g.maslov - m) / 2 when that is an integer, and the
 slice keeps those its rule admits.  The i = 0 column admits k = 0, the
 quotient by the all-negative subcomplex k <= max(0, alexander).  So every
-slice is finite and no truncation is ever needed.
+slice is finite and no truncation is ever needed.  Since an orbit gives at
+most one translate per level, a slice numbers its translates by generator
+name: each level's bits come from one walk of the generators, and all its
+boundary masks from one pass over the arrows, an arrow (s, t, u) sending
+U^k s to U^(k+u) t.
 
 The d1 search is one GF(2) reduction, by three facts about probe n ("is
 U^(n+1) xi a boundary in the quotient at level -2(n+1)?").  The probes share
@@ -30,11 +34,12 @@ rows gone by then.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
+from operator import itemgetter
 
 from . import gf2
 from .errors import NotAKnotComplex
-from .filtered import FilteredComplex, Generator
+from .filtered import FilteredComplex
 
 
 @dataclass(frozen=True)
@@ -72,72 +77,58 @@ def solve_gf2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | 
     return [(combo >> j) & 1 for j in range(ncols)]
 
 
-def _slice(generators: Iterable[Generator], level: int,
-           keep: Callable[[Generator, int], bool]) -> dict[tuple[str, int], int]:
-    """Bit index of each translate U^k g at the Maslov level that keep(g, k) admits."""
-    index: dict[tuple[str, int], int] = {}
-    for g in generators:
-        drop = g.maslov - level
-        if drop % 2 == 0 and keep(g, drop // 2):
-            index[(g.name, drop // 2)] = len(index)
-    return index
+def _column(complex: FilteredComplex) -> dict[int, tuple[list[str], list[int]]]:
+    """The i = 0 column: each Maslov level's generator names in bit order, and
+    each one's differential as a mask over the level below.
 
-
-def _in_column(g: Generator, k: int) -> bool:
-    return k == 0
-
-
-def _in_quotient(g: Generator, k: int) -> bool:
-    """U^k g sits at (-k, alexander - k), outside the i<0, j<0 subcomplex."""
-    return k <= max(0, g.alexander)
-
-
-def _boundary_masks(complex: FilteredComplex, sources: dict[tuple[str, int], int],
-                    targets: dict[tuple[str, int], int]) -> list[int]:
-    """Differential of each source translate, as a mask over the target bits."""
-    masks = []
-    for name, k in sources:
-        mask = 0
-        for a in complex.arrows_from(name):
-            bit = targets.get((a.target, k + a.upower))
-            if bit is not None:
-                mask ^= 1 << bit
-        masks.append(mask)
-    return masks
-
-
-def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
-    """Homology ranks of the i = 0 column, keyed by Maslov grading."""
-    levels: dict[int, list[Generator]] = {}
+    Level 0 is in name order, since hat_generator's coset minimum depends on
+    its bit order; the other levels keep the complex's order.  Only arrows
+    with upower 0 between adjacent levels stay in the column.
+    """
+    levels: dict[int, list[str]] = {}
     for g in complex.generators:
-        levels.setdefault(g.maslov, []).append(g)
-    columns = {m: _slice(gens, m, _in_column) for m, gens in levels.items()}
-    boundary_rank = {
-        m: gf2.rank_masks(_boundary_masks(complex, column, columns.get(m - 1, {})))
-        for m, column in columns.items()
-    }
+        levels.setdefault(g.maslov, []).append(g.name)
+    if 0 in levels:
+        levels[0].sort()
+    place = {name: (m, bit) for m, names in levels.items() for bit, name in enumerate(names)}
+    masks = {m: [0] * len(names) for m, names in levels.items()}
+    for source, target, upower in complex.arrows:
+        if upower == 0 and source in place and target in place:
+            m, bit = place[source]
+            level, target_bit = place[target]
+            if level == m - 1:
+                masks[m][bit] ^= 1 << target_bit
+    return {m: (names, masks[m]) for m, names in levels.items()}
+
+
+def _ranks(column: dict[int, tuple[list[str], list[int]]]) -> dict[int, int]:
+    """Each level's size less the ranks of the boundary out of it and into it."""
+    boundary_rank = {m: gf2.rank_masks(masks) for m, (_, masks) in column.items()}
     ranks = {}
-    for m, column in columns.items():
-        h = len(column) - boundary_rank[m] - boundary_rank.get(m + 1, 0)
+    for m, (names, _) in column.items():
+        h = len(names) - boundary_rank[m] - boundary_rank.get(m + 1, 0)
         if h:
             ranks[m] = h
     return ranks
 
 
+def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
+    """Homology ranks of the i = 0 column, keyed by Maslov grading."""
+    return _ranks(_column(complex))
+
+
 def hat_generator(complex: FilteredComplex) -> Cycle:
     """Canonical cycle generating the column homology at grading zero."""
-    ranks = hat_homology_ranks(complex)
+    column = _column(complex)
+    ranks = _ranks(column)
     if ranks != {0: 1}:
         raise NotAKnotComplex(f"column homology ranks are {ranks}, expected one class at grading 0")
-    gens = complex.generators
-    # the coset minimum depends on this slice's bit order: name order
-    level0 = {key: bit for bit, key in enumerate(sorted(_slice(gens, 0, _in_column)))}
-    below, above = _slice(gens, -1, _in_column), _slice(gens, 1, _in_column)
-    kernel = gf2.kernel_masks(_boundary_masks(complex, level0, below))
-    boundaries = _boundary_masks(complex, above, level0)
+    names, masks = column[0]
+    kernel = gf2.kernel_masks(masks)
+    boundaries = column[1][1] if 1 in column else []
     for rep in gf2.coset_minima(kernel, boundaries):
         if rep:
-            terms = tuple(key for key, bit in level0.items() if (rep >> bit) & 1)
+            terms = tuple((name, 0) for bit, name in enumerate(names) if (rep >> bit) & 1)
             return Cycle(terms=terms, maslov=0)
     raise NotAKnotComplex("no surviving cycle at grading 0")
 
@@ -150,15 +141,33 @@ def d1_general(complex: FilteredComplex) -> int:
     means n = 0; otherwise n is the first probe its leading row has left.
     """
     xi = hat_generator(complex)
-    alexander = {g.name: g.alexander for g in complex.generators}
-    stays = {key: max(0, alexander[key[0]]) - key[1]
-             for key in _slice(complex.generators, -2, _in_quotient)}
-    order = sorted(stays, key=stays.__getitem__)
-    rows = {key: bit for bit, key in enumerate(order)}
-    target = sum(1 << rows[(name, k + 1)] for name, k in xi.terms if (name, k + 1) in rows)
-    columns = _slice(complex.generators, -1, _in_quotient)
-    (r,) = gf2.coset_minima([target], _boundary_masks(complex, columns, rows))
-    return -2 * (1 + stays[order[r.bit_length() - 1]]) if r else 0
+    # U^k g with k = (maslov + 2) // 2 sits at level -2 (a row) or -1 (a column)
+    ranked: list[tuple[int, str, int]] = []  # (stays, name, k) of each row
+    columns: dict[str, tuple[int, int]] = {}  # name -> (k, bit)
+    for g in complex.generators:
+        k, odd = divmod(g.maslov + 2, 2)
+        reach = max(0, g.alexander)
+        if k <= reach:
+            if odd:
+                columns[g.name] = (k, len(columns))
+            else:
+                ranked.append((reach - k, g.name, k))
+    ranked.sort(key=itemgetter(0))
+    rows = {name: (k, bit) for bit, (_, name, k) in enumerate(ranked)}
+    target = 0
+    for name, k in xi.terms:
+        row = rows.get(name)
+        if row is not None and row[0] == k + 1:
+            target |= 1 << row[1]
+    masks = [0] * len(columns)
+    for source, head, upower in complex.arrows:
+        if source in columns and head in rows:
+            k, bit = columns[source]
+            row_k, row_bit = rows[head]
+            if row_k == k + upower:
+                masks[bit] ^= 1 << row_bit
+    (r,) = gf2.coset_minima([target], masks)
+    return -2 * (1 + ranked[r.bit_length() - 1][0]) if r else 0
 
 
 def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:

@@ -88,6 +88,45 @@ def after_each_pair(complex, plan):
     return steps
 
 
+NAMES = st.text(alphabet="abxy*'", max_size=3)
+SMALL = st.integers(-3, 3)
+
+
+class TestValueTypes:
+    """Generator and Arrow order, hash and print as their field tuples."""
+
+    @given(st.lists(st.tuples(NAMES, NAMES, SMALL)), st.lists(st.tuples(NAMES, SMALL, SMALL)))
+    def test_sorting_is_field_tuple_order(self, arrows, generators):
+        arrows = [Arrow(*a) for a in arrows]
+        generators = [Generator(*g) for g in generators]
+        assert sorted(arrows) == sorted(arrows, key=lambda a: (a.source, a.target, a.upower))
+        assert sorted(generators) == sorted(
+            generators, key=lambda g: (g.name, g.alexander, g.maslov)
+        )
+
+    @given(st.tuples(NAMES, NAMES, SMALL), st.tuples(NAMES, SMALL, SMALL))
+    def test_hash_is_the_field_tuple_hash(self, arrow, generator):
+        for value in (Arrow(*arrow), Generator(*generator)):
+            assert hash(value) == hash(tuple(value))
+
+    def test_fields_are_read_only(self):
+        arrow, generator = Arrow("a", "b", 0), Generator("a", 0, 0)
+        with pytest.raises(AttributeError):
+            arrow.upower = 1
+        with pytest.raises(AttributeError):
+            generator.name = "b"
+        assert arrow == Arrow("a", "b", 0) and generator == Generator("a", 0, 0)
+
+    def test_keyword_construction(self):
+        assert Arrow(source="a", target="b", upower=2) == Arrow("a", "b", 2)
+        assert Generator(name="a", alexander=-1, maslov=3) == Generator("a", -1, 3)
+        assert Arrow("a", "b", 2)._replace(upower=0) == Arrow("a", "b", 0)
+
+    def test_repr(self):
+        assert repr(Arrow("a", "b", 0)) == "Arrow(source='a', target='b', upower=0)"
+        assert repr(Generator("x1", 1, 0)) == "Generator(name='x1', alexander=1, maslov=0)"
+
+
 class TestFromStaircase:
     def test_trefoil(self):
         assert validate(TREFOIL) is None
