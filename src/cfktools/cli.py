@@ -28,7 +28,7 @@ from .doubles import (
 from .errors import CFKError, InvalidParameter, InvalidTorusParameters
 from .filtered import FilteredComplex, complex_from_json_dict, from_staircase, tensor, validate
 from .homology import d1_general
-from .laurent import alexander_torus
+from .laurent import LaurentPoly, alexander_torus
 from .staircase import (
     Staircase,
     alexander_of_staircase,
@@ -59,12 +59,21 @@ def _parse_staircase(text: str) -> Staircase:
         raise click.UsageError(f"malformed staircase vector {text!r}: {exc}")
 
 
-def _torus_staircase(p: int, q: int) -> Staircase:
+def _torus_alexander(p: int, q: int) -> LaurentPoly:
     conductor = (p - 1) * (q - 1)
     # parameters below 2 are left to alexander_torus, whose message names them
     if p >= 2 and q >= 2 and conductor > MAX_TORUS_CONDUCTOR:
         raise InvalidParameter(f"T(p,q) needs (p-1)(q-1) <= {MAX_TORUS_CONDUCTOR}, got {conductor}")
-    return staircase_from_alexander(alexander_torus(p, q))
+    return alexander_torus(p, q)
+
+
+def _torus_staircase(p: int, q: int) -> Staircase:
+    return staircase_from_alexander(_torus_alexander(p, q))
+
+
+def _torus_report(p: int, q: int) -> dict:
+    poly = _torus_alexander(p, q)
+    return _knot_report(f"T({p},{q})", staircase_from_alexander(poly), poly)
 
 
 def _load_complex(path: str) -> FilteredComplex:
@@ -84,8 +93,10 @@ def _load_complex(path: str) -> FilteredComplex:
     return complex
 
 
-def _knot_report(knot: str, stair: Staircase) -> dict:
-    poly = alexander_of_staircase(stair)
+def _knot_report(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> dict:
+    """The invariants of stair; poly is its Alexander polynomial if the caller has it."""
+    if poly is None:
+        poly = alexander_of_staircase(stair)
     return {
         "knot": knot,
         "alexander": str(poly),
@@ -230,7 +241,7 @@ def main(ctx: click.Context, as_json: bool) -> None:
 @click.pass_context
 def torus(ctx: click.Context, p: int, q: int) -> None:
     """Invariant report for the (P, Q) torus knot."""
-    report = _knot_report(f"T({p},{q})", _torus_staircase(p, q))
+    report = _torus_report(p, q)
     _emit(ctx, report, _report_text(report))
 
 
@@ -427,7 +438,7 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
         for q in range(3, limit + 1):
             for p in range(2, q):
                 if math.gcd(p, q) == 1:
-                    rows.append(_knot_report(f"T({p},{q})", _torus_staircase(p, q)))
+                    rows.append(_torus_report(p, q))
         header = ["knot", "steps", "alexander", "tau", "d1", "delta_whitehead"]
     elif kind == "t2":
         if limit > MAX_T2_TABLE:

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfktools import (
     Staircase,
+    alexander_of_staircase,
+    alexander_torus,
     d1_closed_form,
     delta_whitehead,
     from_staircase,
@@ -68,6 +71,24 @@ class TestTorus:
         first = runner.invoke(main, ["--json", "torus", "5", "7"]).output
         second = runner.invoke(main, ["--json", "torus", "5", "7"]).output
         assert first == second
+
+    @pytest.mark.parametrize("args", [["torus", "5", "7"], ["table", "--family", "torus:7"]])
+    def test_reports_reuse_the_torus_polynomial(self, runner, monkeypatch, args):
+        """The staircase is built from alexander_torus's polynomial, which the
+        report prints as it is, without rebuilding it from the staircase."""
+        def rebuilt(stair):
+            raise AssertionError(f"Alexander polynomial of {stair} rebuilt")
+
+        monkeypatch.setattr(cli, "alexander_of_staircase", rebuilt)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("q", range(3, 31))
+def test_torus_staircase_has_the_torus_polynomial(q):
+    for p in range(2, q):
+        if math.gcd(p, q) == 1:
+            assert alexander_of_staircase(cli._torus_staircase(p, q)) == alexander_torus(p, q), (p, q)
 
 
 class TestStaircase:
