@@ -91,14 +91,14 @@ def _column(complex: FilteredComplex) -> dict[int, tuple[list[str], list[int]]]:
     if 0 in levels:
         levels[0].sort()
     place = {name: (m, bit) for m, names in levels.items() for bit, name in enumerate(names)}
-    masks = {m: [0] * len(names) for m, names in levels.items()}
+    column = {m: (names, [0] * len(names)) for m, names in levels.items()}
     for source, target, upower in complex.arrows:
         if upower == 0 and source in place and target in place:
             m, bit = place[source]
             level, target_bit = place[target]
             if level == m - 1:
-                masks[m][bit] ^= 1 << target_bit
-    return {m: (names, masks[m]) for m, names in levels.items()}
+                column[m][1][bit] ^= 1 << target_bit
+    return column
 
 
 def _ranks(column: dict[int, tuple[list[str], list[int]]]) -> dict[int, int]:
