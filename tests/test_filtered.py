@@ -1,9 +1,10 @@
 import json
+import re
 from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cfktools import (
     Arrow,
@@ -86,6 +87,39 @@ def after_each_pair(complex, plan):
         final = remove_diagonals(complex, plan)
     assert steps[-1] == {(a.source, a.target, a.upower) for a in final.arrows}
     return steps
+
+
+def within_subset_arrows(complex, plan):
+    position = {name: k for k, subset in enumerate(plan) for name in subset}
+    return {a for a in complex.arrows if position[a.source] == position[a.target]}
+
+
+@st.composite
+def planned_complexes(draw):
+    """2-7 generators in a random plan, with some of the arrows their
+    gradings allow that do not run from an earlier subset to a later one."""
+    count = draw(st.integers(2, 7))
+    gens = [
+        Generator(f"g{k}", draw(st.integers(-2, 2)), draw(st.integers(-3, 3)))
+        for k in range(count)
+    ]
+    labels = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    plan = [[g.name for g, label in zip(gens, labels) if label == k] for k in sorted(set(labels))]
+    position = {name: k for k, subset in enumerate(plan) for name in subset}
+    allowed = []
+    for s in gens:
+        for t in gens:
+            upower, odd = divmod(t.maslov - s.maslov + 1, 2)
+            if (
+                s != t
+                and not odd
+                and 0 <= upower
+                and t.alexander - upower <= s.alexander
+                and position[s.name] >= position[t.name]
+            ):
+                allowed.append(Arrow(s.name, t.name, upower))
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    return FilteredComplex(gens, [a for a, k in zip(allowed, keep) if k]), plan
 
 
 NAMES = st.text(alphabet="abxy*'", max_size=3)
@@ -341,6 +375,48 @@ class TestRemoveDiagonals:
     def test_matches_reference_on_boxes(self, build, plan, pattern):
         complex = build(*pattern)
         assert after_each_pair(complex, plan) == reference_remove_diagonals(complex, plan)
+
+    @given(st.integers(1, 5), st.integers(0, 1 << 16), st.integers(1, 16))
+    @settings(deadline=None, max_examples=40)
+    def test_keeps_the_within_subset_arrows_of_scrambled_doubles(self, m, seed, count):
+        complex, plan = scrambled_double(m, seed, count), splitting_plan(m)
+        assert remove_diagonals(complex, plan).arrows == within_subset_arrows(complex, plan)
+
+    @pytest.mark.parametrize(
+        "build, plan, pattern",
+        [(box_pair_level, BOX_PAIR_LEVEL_PLAN, p) for p in box_pair_level_valid_patterns()]
+        + [(box_pair_step, BOX_PAIR_STEP_PLAN, p) for p in box_pair_step_valid_patterns()]
+        + [(box_over_corner, BOX_OVER_CORNER_PLAN, p) for p in box_over_corner_valid_patterns()],
+    )
+    def test_keeps_the_within_subset_arrows_of_boxes(self, build, plan, pattern):
+        complex = build(*pattern)
+        assert remove_diagonals(complex, plan).arrows == within_subset_arrows(complex, plan)
+
+    def test_unsolvable_pair(self):
+        """y->t has no candidate move: t's Maslov parity differs from y's."""
+        complex = FilteredComplex(
+            [Generator("t", 0, -1), Generator("x", 0, 0), Generator("y", 0, 0)],
+            [Arrow("x", "t", 0), Arrow("y", "t", 0)],
+        )
+        assert validate(complex) is None
+        message = "^no basis-change sequence clears arrows from subset 2 to subset 0$"
+        with pytest.raises(InadmissiblePlan, match=message):
+            remove_diagonals(complex, [["t"], ["x"], ["y"]])
+
+    @given(planned_complexes())
+    @settings(deadline=None, max_examples=500)
+    def test_matches_reference_on_random_complexes(self, drawn):
+        complex, plan = drawn
+        assume(len(plan) > 1 and validate(complex) is None)
+        try:
+            expected = reference_remove_diagonals(complex, plan)
+        except AssertionError as failure:
+            pair = re.fullmatch(r"no moves clear subset (\d+) from subset (\d+)", str(failure))
+            message = "^no basis-change sequence clears arrows from subset {} to subset {}$"
+            with pytest.raises(InadmissiblePlan, match=message.format(*pair.groups())):
+                remove_diagonals(complex, plan)
+        else:
+            assert after_each_pair(complex, plan) == expected
 
 
 PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
