@@ -208,11 +208,17 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
     """Strip every arrow between distinct plan subsets by basis changes.
 
     The plan must partition the generators, and cross-subset arrows may only
-    run from later subsets toward earlier ones.  Subsets are processed back
-    to front; for each ordered pair the cross arrows are cleared by solving
-    for a set of basis changes whose combined toggles cancel them, applied
-    in one rebuild of the complex per pair.  Toggles aimed at even-earlier
-    subsets are deferred to their own pass.
+    run from later subsets toward earlier ones.  Subsets hi run back to front,
+    each against the earlier subsets lo nearest first; a GF(2) solve picks the
+    moves y' = y + U^c x (y in hi, x in lo) whose toggles clear the pair.
+    Every pair reads the input complex, because a move:
+
+    * reads arrows into y, which come only from hi once later subsets are
+      cleared, and arrows out of x, untouched until x's subset is hi;
+    * toggles only arrows from hi toward earlier subsets, so only hi's cross
+      arrows change, and they are kept in one residual set;
+    * never toggles an arrow within a subset, so the result is exactly the
+      input's within-subset arrows.
     """
     position: dict[str, int] = {}
     for idx, subset in enumerate(plan):
@@ -229,35 +235,30 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
                 f"{position[a.source]} to later subset {position[a.target]}"
             )
 
-    current = complex
     for hi in range(len(plan) - 1, 0, -1):
+        residual = {a for g in plan[hi] for a in complex._out[g] if position[a.target] != hi}
         for lo in range(hi - 1, -1, -1):
-            current = _clear_pair(current, plan[hi], plan[lo], hi, lo)
-
-    stray = [a for a in sorted(current.arrows) if position[a.source] != position[a.target]]
-    if stray:
-        raise InadmissiblePlan(f"cross arrows survived elimination: {stray}")
-    return current
+            residual ^= _clear_pair(complex, residual, plan, hi, lo)
+        if residual:
+            raise InadmissiblePlan(f"cross arrows survived elimination: {sorted(residual)}")
+    kept = [a for a in complex.arrows if position[a.source] == position[a.target]]
+    return complex.with_arrows(kept)
 
 
 def _clear_pair(
-    complex: FilteredComplex,
-    hi_subset: list[str],
-    lo_subset: list[str],
-    hi: int,
-    lo: int,
-) -> FilteredComplex:
-    hi_set, lo_set = set(hi_subset), set(lo_subset)
+    complex: FilteredComplex, residual: set[Arrow], plan: list[list[str]], hi: int, lo: int
+) -> set[Arrow]:
+    """Toggles, all out of subset hi, of moves that clear residual's arrows into lo."""
+    hi_set, lo_set = set(plan[hi]), set(plan[lo])
     # cross arrow (hi to lo) -> its GF(2) coordinate; the solve picks the same
     # moves however the coordinates are numbered
     bit: dict[Arrow, int] = {}
     target = 0
-    for g in hi_set:
-        for a in complex._out[g]:
-            if a.target in lo_set:
-                target |= 1 << bit.setdefault(a, len(bit))
+    for a in residual:
+        if a.target in lo_set:
+            target |= 1 << bit.setdefault(a, len(bit))
     if target == 0:
-        return complex
+        return set()
 
     toggle_sets: list[set[Arrow]] = []
     columns: list[int] = []
@@ -267,9 +268,11 @@ def _clear_pair(
                 toggles = _toggles(complex, BasisChange(x=x, y=y))
             except IllegalBasisChange:
                 continue
+            # the input's arrows into y from later subsets are cleared by now
+            toggles = {a for a in toggles if a.source in hi_set}
             column = 0
             for a in toggles:
-                if a.source in hi_set and a.target in lo_set:
+                if a.target in lo_set:
                     column ^= 1 << bit.setdefault(a, len(bit))
             if column:
                 toggle_sets.append(toggles)
@@ -280,15 +283,12 @@ def _clear_pair(
         raise InadmissiblePlan(
             f"no basis-change sequence clears arrows from subset {hi} to subset {lo}"
         )
-    # A pair's moves commute, so their toggles, all read off this complex,
-    # apply as one update: each move reads only arrows into hi and out of lo,
-    # and adds only arrows out of hi or into lo, none of which runs into hi or
-    # out of lo because no arrow runs from an earlier subset to a later one.
-    arrows = set(complex.arrows)
+    # a pair's moves commute: none toggles an arrow that another one reads
+    cleared: set[Arrow] = set()
     for k, toggles in enumerate(toggle_sets):
         if (chosen >> k) & 1:
-            arrows ^= toggles
-    return complex.with_arrows(arrows)
+            cleared ^= toggles
+    return cleared
 
 
 def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:

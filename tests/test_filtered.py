@@ -72,20 +72,25 @@ def cross_arrows(complex, plan):
 def after_each_pair(complex, plan):
     """remove_diagonals' arrows (source, target, upower) after each plan pair.
 
-    Every pair but the last leaves arrows toward earlier subsets that depend
-    on which moves it chose; the last result is the returned complex's.
+    Each pair's arrows are the previous pair's, the input's at first, with the
+    toggles ``_clear_pair`` returns applied.  Every pair but the last leaves
+    arrows toward earlier subsets that depend on which moves it chose; the last
+    result is the returned complex's.
     """
     steps = []
+    arrows = {(a.source, a.target, a.upower) for a in complex.arrows}
     clear_pair = filtered._clear_pair
 
     def record(*args):
-        result = clear_pair(*args)
-        steps.append({(a.source, a.target, a.upower) for a in result.arrows})
-        return result
+        nonlocal arrows
+        toggles = clear_pair(*args)
+        arrows = arrows ^ {(a.source, a.target, a.upower) for a in toggles}
+        steps.append(arrows)
+        return toggles
 
     with mock.patch.object(filtered, "_clear_pair", record):
         final = remove_diagonals(complex, plan)
-    assert steps[-1] == {(a.source, a.target, a.upower) for a in final.arrows}
+    assert arrows == {(a.source, a.target, a.upower) for a in final.arrows}
     return steps
 
 
@@ -391,6 +396,19 @@ class TestRemoveDiagonals:
     def test_keeps_the_within_subset_arrows_of_boxes(self, build, plan, pattern):
         complex = build(*pattern)
         assert remove_diagonals(complex, plan).arrows == within_subset_arrows(complex, plan)
+
+    def test_builds_one_complex(self):
+        complex, plan = scrambled_double(4, 7, 16), splitting_plan(4)
+        built = []
+        init = FilteredComplex.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        with mock.patch.object(FilteredComplex, "__init__", counting):
+            remove_diagonals(complex, plan)
+        assert len(built) <= 1
 
     def test_unsolvable_pair(self):
         """y->t has no candidate move: t's Maslov parity differs from y's."""
