@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from itertools import chain
 
@@ -46,9 +47,39 @@ MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates tha
 MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 
 
+_PLAIN_INTEGER = re.compile(r"[ \t\n\r\f\v]*([+-]?[0-9]+)[ \t\n\r\f\v]*")
+
+
+def _strict_int(text: str) -> int:
+    """text as an integer: ASCII digits after an optional sign, optionally
+    padded with ASCII whitespace.  Unlike int(), refuses underscores and
+    non-ASCII digits and spaces."""
+    match = _PLAIN_INTEGER.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(match.group(1))
+
+
+class _Integer(click.ParamType):
+    """click.INT through _strict_int, failing with click.INT's message."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):
+            return value
+        try:
+            return _strict_int(value)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
+_INTEGER = _Integer()
+
+
 def _parse_staircase(text: str) -> Staircase:
     try:
-        steps = tuple(int(part) for part in text.split(","))
+        steps = tuple(_strict_int(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(
             f"malformed staircase vector {text!r}: expected comma-separated integers"
@@ -236,8 +267,8 @@ def main(ctx: click.Context, as_json: bool) -> None:
 
 
 @main.command()
-@click.argument("p", type=int)
-@click.argument("q", type=int)
+@click.argument("p", type=_INTEGER)
+@click.argument("q", type=_INTEGER)
 @click.pass_context
 def torus(ctx: click.Context, p: int, q: int) -> None:
     """Invariant report for the (P, Q) torus knot."""
@@ -256,7 +287,7 @@ def staircase(ctx: click.Context, steps: str) -> None:
 
 
 @main.command()
-@click.argument("m", type=int)
+@click.argument("m", type=_INTEGER)
 @click.option("--verify", is_flag=True, help="Check the trefoil + acyclic splitting.")
 @click.option("--delta2", is_flag=True, help="Compute delta of the second double (both routes).")
 @click.pass_context
@@ -342,8 +373,8 @@ def _classify_text(report: dict) -> str:
 
 
 @classify.command("torus")
-@click.argument("p", type=int)
-@click.argument("q", type=int)
+@click.argument("p", type=_INTEGER)
+@click.argument("q", type=_INTEGER)
 @click.pass_context
 def classify_torus(ctx: click.Context, p: int, q: int) -> None:
     """Classify the double of the (P, Q) torus knot."""
@@ -388,8 +419,8 @@ _square_option = click.option(
 
 
 @diagram.command("torus")
-@click.argument("p", type=int)
-@click.argument("q", type=int)
+@click.argument("p", type=_INTEGER)
+@click.argument("q", type=_INTEGER)
 @_svg_option
 @_square_option
 def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
@@ -407,7 +438,7 @@ def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
 
 
 @diagram.command("double")
-@click.argument("m", type=int)
+@click.argument("m", type=_INTEGER)
 @_svg_option
 def diagram_double(m: int, path: str) -> None:
     """Diagram of the double of T(2, 2M+1)."""
@@ -426,7 +457,7 @@ def diagram_complex(source: str, path: str, tensor_square: bool) -> None:
 def _family_rows(family: str) -> tuple[list[str], list[dict]]:
     kind, _, arg = family.partition(":")
     try:
-        limit = int(arg)
+        limit = _strict_int(arg)
     except ValueError:
         raise click.UsageError(
             f"malformed family {family!r}: expected torus:N or t2:M"

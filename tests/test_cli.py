@@ -394,6 +394,75 @@ class TestTable:
         assert first == second
 
 
+# underscores, Arabic-Indic and fullwidth digits, non-ASCII spaces, other notations
+_NOT_PLAIN = ["1_1", "\u0661", "\uff14", "4\u00a0", "\u20034", "4.0", "0x4", ""]
+_NOT_AN_INTEGER = "Invalid value for '{}': {{!r}} is not a valid integer."
+_MALFORMED_STAIRCASE = "malformed staircase vector {!r}: expected comma-separated integers"
+_MALFORMED_FAMILY = "malformed family {!r}: expected torus:N or t2:M"
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("text", _NOT_PLAIN)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["torus", "3", "{}"], _NOT_AN_INTEGER.format("Q")),
+            (["classify", "torus", "{}", "4"], _NOT_AN_INTEGER.format("P")),
+            (["diagram", "torus", "3", "{}"], _NOT_AN_INTEGER.format("Q")),
+            (["double", "{}"], _NOT_AN_INTEGER.format("M")),
+            (["diagram", "double", "{}"], _NOT_AN_INTEGER.format("M")),
+            (["staircase", "1,{}"], _MALFORMED_STAIRCASE),
+            (["classify", "staircase", "1,{}"], _MALFORMED_STAIRCASE),
+            (["diagram", "staircase", "1,{}"], _MALFORMED_STAIRCASE),
+            (["table", "--family", "t2:{}"], _MALFORMED_FAMILY),
+            (["table", "--family", "torus:{}"], _MALFORMED_FAMILY),
+        ],
+        ids=[
+            "torus", "classify-torus", "diagram-torus", "double", "diagram-double",
+            "staircase", "classify-staircase", "diagram-staircase", "table-t2", "table-torus",
+        ],
+    )
+    def test_refused_with_exit_2(self, runner, tmp_path, monkeypatch, args, message, text):
+        monkeypatch.chdir(tmp_path)
+        value = next(arg for arg in args if "{}" in arg).format(text)
+        args = [arg.format(text) for arg in args]
+        if args[0] == "diagram":
+            args += ["--svg", "out.svg"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {message.format(value)}\n")
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["torus", " 3", "+4 "], ["torus", "3", "4"]),
+            (["classify", "torus", "3\t", "\n4"], ["classify", "torus", "3", "4"]),
+            (["double", " +1 "], ["double", "1"]),
+            (["staircase", " 1, 1 "], ["staircase", "1,1"]),
+            (["classify", "staircase", "1 ,+1"], ["classify", "staircase", "1,1"]),
+            (["table", "--family", "t2: 2 "], ["table", "--family", "t2:2"]),
+            (["table", "--family", "torus:+5"], ["table", "--family", "torus:5"]),
+        ],
+    )
+    def test_padded_and_signed_integers_still_parse(self, runner, args, expected):
+        padded, plain = runner.invoke(main, args), runner.invoke(main, expected)
+        assert padded.exit_code == plain.exit_code == 0
+        # the family name is echoed only by the JSON format
+        assert padded.output == plain.output
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.text(alphabet=" \t\n\r\f\v+-0123456789", max_size=6))
+    def test_agrees_with_int_on_plain_ascii(self, text):
+        try:
+            expected = int(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._strict_int(text)
+        else:
+            assert cli._strict_int(text) == expected
+
+
 def test_unknown_verb_is_usage_error(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
