@@ -6,19 +6,22 @@ target's column to sit a cells left of the source's.  Columns are assigned
 per connected component by a breadth-first walk rooted at the component's
 first generator (conflicting constraints, which graded complexes built here
 never produce, fall back to the walk tree).  Fixed cell size, no styling
-knobs.
+knobs.  The grid draws a line per cell, so a diagram may span at most
+MAX_GRID_CELLS cells per axis, padding included.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .errors import InvalidParameter
 from .filtered import Arrow, FilteredComplex, from_staircase
 from .staircase import Staircase
 
 CELL = 40
 DOT_RADIUS = 5
 PAD_CELLS = 1
+MAX_GRID_CELLS = 10_000  # widest and tallest diagram, in cells
 
 
 def _columns(complex: FilteredComplex, arrows: list[Arrow]) -> dict[str, int]:
@@ -62,8 +65,13 @@ def svg_for_complex(complex: FilteredComplex) -> str:
     imax = max(p[0] for p in points) + PAD_CELLS
     jmin = min(p[1] for p in points) - PAD_CELLS
     jmax = max(p[1] for p in points) + PAD_CELLS
-    width = (imax - imin + 1) * CELL
-    height = (jmax - jmin + 1) * CELL
+    columns, rows = imax - imin + 1, jmax - jmin + 1
+    if max(columns, rows) > MAX_GRID_CELLS:
+        raise InvalidParameter(
+            f"diagrams span at most {MAX_GRID_CELLS} cells per axis, got {columns} x {rows}"
+        )
+    width = columns * CELL
+    height = rows * CELL
 
     def cx(i: int) -> float:
         return (i - imin + 0.5) * CELL

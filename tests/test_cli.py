@@ -19,7 +19,7 @@ from cfktools import (
     tau,
     to_json_dict,
 )
-from cfktools import cli
+from cfktools import cli, diagrams
 from cfktools.cli import main
 
 from .complex_fixtures import single_box
@@ -333,6 +333,37 @@ class TestDiagram:
         result = runner.invoke(main, ["diagram", "staircase", "1,1,1,1,1,1"] + svg)
         assert result.exit_code == 2
         assert "Error: --tensor-square needs <= 5 generators, got 7\n" in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["staircase", "1000000000,1000000000"], "got 1000000003 x 1000000003"),
+            (["complex", "tall.json"], "got 3 x 20003"),
+        ],
+        ids=["staircase", "complex"],
+    )
+    def test_grid_above_the_cap_is_usage_error(self, runner, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        tall = {
+            "generators": [
+                {"name": "a", "alexander": 0, "maslov": 0},
+                {"name": "b", "alexander": 20000, "maslov": 0},
+            ],
+            "arrows": [],
+        }
+        (tmp_path / "tall.json").write_text(json.dumps(tall))
+        result = runner.invoke(main, ["diagram"] + args + ["--svg", "out.svg"])
+        assert result.exit_code == 2
+        assert f"Error: diagrams span at most 10000 cells per axis, {message}\n" in result.output
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_grid_cap_is_inclusive(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagrams, "MAX_GRID_CELLS", 5)
+        svg = ["--svg", str(tmp_path / "g.svg")]
+        assert runner.invoke(main, ["diagram", "staircase", "2,2"] + svg).exit_code == 0
+        result = runner.invoke(main, ["diagram", "staircase", "3,3"] + svg)
+        assert result.exit_code == 2
+        assert "Error: diagrams span at most 5 cells per axis, got 6 x 6\n" in result.output
 
     def test_unwritable_path_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(
