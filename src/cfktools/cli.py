@@ -66,8 +66,6 @@ class _Integer(click.ParamType):
     name = "integer"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
         try:
             return _strict_int(value)
         except ValueError:
