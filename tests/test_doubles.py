@@ -97,6 +97,12 @@ class TestSplitting:
         assert report.trefoil_summand and report.acyclic_rest
         assert sorted(report.component_sizes) == [3] + [4] * (4 * m - 1)
 
+    def test_largest_double_the_cli_builds(self):
+        report = verify_splitting(build_double_complex(200))
+        assert report.trefoil_summand and report.acyclic_rest
+        assert report.rest_verdict == "certified-acyclic"
+        assert sorted(report.component_sizes) == [3] + [4] * 799
+
     def test_component_count_examples(self):
         assert len(split_summands(build_double_complex(1))) == 4
         assert len(split_summands(build_double_complex(2))) == 8

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -29,9 +30,18 @@ from cfktools import (
     validate,
 )
 
-from .complex_fixtures import legal_moves, scrambled_double, single_box, trefoil_with_mixed_box
+from .complex_fixtures import (
+    box_over_corner,
+    box_pair_level,
+    box_pair_step,
+    legal_moves,
+    scrambled_double,
+    single_box,
+    trefoil_with_mixed_box,
+)
 from .oracles import (
     brute_solve_gf2,
+    reference_is_acyclic,
     reference_d1,
     reference_hat_generator,
     reference_hat_ranks,
@@ -359,6 +369,57 @@ class TestIsAcyclic:
     @pytest.mark.parametrize("stair", TORUS_STAIRCASES[:6], ids=str)
     def test_staircases_never_acyclic(self, stair):
         assert is_acyclic(from_staircase(stair)).verdict == "certified-nonacyclic"
+
+
+@st.composite
+def maslov_graded_complexes(draw):
+    """Generators in random name order and any set of arrows that obey the
+    Maslov rule, each with its forced U-power (negative ones too), so d^2
+    need not vanish."""
+    names = draw(st.lists(st.text(alphabet="abxy*'", min_size=1, max_size=3),
+                          min_size=1, max_size=8, unique=True))
+    gens = [Generator(name, draw(st.integers(-2, 2)), draw(st.integers(-3, 3))) for name in names]
+    allowed = [
+        Arrow(s.name, t.name, (t.maslov - s.maslov + 1) // 2)
+        for s in gens
+        for t in gens
+        if (t.maslov - s.maslov) % 2
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    return FilteredComplex(gens, [a for a, k in zip(allowed, keep) if k])
+
+
+class TestIsAcyclicMatchesReference:
+    """Same verdict, pair count and survivors as the repeated pivot scan."""
+
+    @given(maslov_graded_complexes())
+    @settings(deadline=None, max_examples=300)
+    def test_random_graded_complexes(self, complex):
+        assert is_acyclic(complex) == reference_is_acyclic(complex)
+
+    @given(st.integers(1, 6), st.integers(0, 1 << 16), st.integers(1, 16))
+    @settings(deadline=None, max_examples=30)
+    def test_scrambled_doubles_and_their_components(self, m, seed, count):
+        complex = scrambled_double(m, seed, count)
+        for part in [complex, *split_summands(complex)]:
+            assert is_acyclic(part) == reference_is_acyclic(part)
+
+    @pytest.mark.parametrize(
+        "build,width",
+        [(box_pair_level, 4), (box_pair_step, 5), (box_over_corner, 5)],
+        ids=["level", "step", "over-corner"],
+    )
+    def test_every_box_pattern(self, build, width):
+        for pattern in itertools.product((0, 1), repeat=width):
+            complex = build(*pattern)
+            assert is_acyclic(complex) == reference_is_acyclic(complex)
+
+    @given(PALINDROMES)
+    @settings(deadline=None, max_examples=40)
+    def test_staircases_and_their_squares(self, stair):
+        c = from_staircase(stair)
+        for complex in (c, tensor(c, c)):
+            assert is_acyclic(complex) == reference_is_acyclic(complex)
 
 
 def test_d1_even_and_nonpositive_on_family():
