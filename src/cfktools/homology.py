@@ -7,8 +7,8 @@ U-power search
     d1 = -2 * min{ n >= 0 : U^(n+1) * xi dies in the quotient by the
                    all-negative subcomplex },
 
-and an acyclicity certificate by unit-pivot cancellation over the Laurent
-coefficient ring.  The column homology and the d1 search solve over slices
+and an acyclicity certificate for Maslov-graded complexes, cancelling unit
+arrows in name order.  The column homology and the d1 search solve over slices
 built by one rule: at Maslov level m each U-orbit contributes exactly one
 translate, U^k g with k = (g.maslov - m) / 2 when that is an integer, and the
 slice keeps those its rule admits.  The i = 0 column admits k = 0, the
@@ -171,63 +171,49 @@ def d1_general(complex: FilteredComplex) -> int:
 
 
 def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
-    """Cancel unit (monomial) pivots over GF(2)[U, U^-1] until none remain.
+    """Cancel arrows over GF(2)[U, U^-1] until none remain.
 
-    Entries are sets of U-exponents; a pivot cancels a source/target pair and
-    reroutes through the zig-zag rule.  Fully cancelled: acyclic.  Survivors
-    with zero differential: nonacyclic, survivors are the witness classes.
-    Nonzero non-monomial leftovers: indeterminate.  Only a complex that
-    validate rejects gets there, since in a graded complex the gradings pin
-    each entry's exponent and the zig-zag rule keeps entries monomial.
+    Defined on Maslov-graded complexes, where the gradings pin each entry of
+    the differential to one monomial, a unit: an entry is just a target in a
+    set.  A complex with an arrow off the Maslov rule is indeterminate, every
+    generator a survivor.  One walk in name order cancels each generator g
+    that still has arrows against its least target h, and every z -> h gains
+    g's targets (the zig-zag rule).  That rewrites only generators with an
+    arrow into h, all after g, so one passed over without arrows gains none.
+    Fully cancelled: acyclic.  Otherwise nonacyclic, survivors are the
+    witness classes.
     """
-    out: dict[str, dict[str, set[int]]] = {g.name: {} for g in complex.generators}
-    into: dict[str, set[str]] = {g.name: set() for g in complex.generators}
-    for a in complex.arrows:
-        out[a.source].setdefault(a.target, set()).add(a.upower)
-        into[a.target].add(a.source)
+    maslov = {g.name: g.maslov for g in complex.generators}
+    if any(maslov[t] - 2 * u != maslov[s] - 1 for s, t, u in complex.arrows):
+        return AcyclicityReport("indeterminate", 0, tuple(sorted(maslov)))
+    out: dict[str, set[str]] = {name: set() for name in sorted(maslov)}
+    into: dict[str, set[str]] = {name: set() for name in maslov}
+    for source, target, _ in complex.arrows:
+        out[source].add(target)
+        into[target].add(source)
 
-    alive = set(out)
-    pairs = 0
-    while True:
-        pivot = None
-        for g in sorted(alive):
-            for h in sorted(out[g]):
-                if len(out[g][h]) == 1:
-                    pivot = (g, h)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        g, h = pivot
-        (a,) = out[g][h]
-        incoming = [(z, set(out[z][h])) for z in sorted(into[h]) if z != g]
-        outgoing = [(w, set(exps)) for w, exps in sorted(out[g].items()) if w != h]
-        for z, bexps in incoming:
-            for w, eexps in outgoing:
-                entry = out[z].setdefault(w, set())
-                for b in bexps:
-                    for e in eexps:
-                        entry ^= {b - a + e}
-                if entry:
-                    out[z][w] = entry
+    cancelled: set[str] = set()
+    for g, targets in out.items():
+        if not targets:
+            continue
+        h = min(targets)
+        for z in into[h] - {g}:
+            out[z] ^= targets
+            for w in targets:
+                if w in out[z]:
                     into[w].add(z)
                 else:
-                    del out[z][w]
                     into[w].discard(z)
         for dead in (g, h):
             for w in out[dead]:
                 into[w].discard(dead)
-            out[dead] = {}
             for z in into[dead]:
-                out[z].pop(dead, None)
-            into[dead] = set()
-            alive.discard(dead)
-        pairs += 1
+                out[z].discard(dead)
+            out[dead].clear()
+        cancelled.update((g, h))
 
-    leftovers = any(out[g].get(h) for g in alive for h in out[g])
-    if leftovers:
-        return AcyclicityReport("indeterminate", pairs, tuple(sorted(alive)))
-    if alive:
-        return AcyclicityReport("certified-nonacyclic", pairs, tuple(sorted(alive)))
+    pairs = len(cancelled) // 2
+    survivors = tuple(name for name in out if name not in cancelled)
+    if survivors:
+        return AcyclicityReport("certified-nonacyclic", pairs, survivors)
     return AcyclicityReport("certified-acyclic", pairs, ())

@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cfktools import (
+    AcyclicityReport,
     Arrow,
     FilteredComplex,
     Generator,
@@ -333,6 +334,24 @@ class TestD1Invariance:
         assert d1_general(complex) == d1_general(keep[0]) == -2
 
 
+@st.composite
+def maslov_graded_complexes(draw):
+    """Generators in random name order and any set of arrows that obey the
+    Maslov rule, each with its forced U-power (negative ones too), so d^2
+    need not vanish."""
+    names = draw(st.lists(st.text(alphabet="abxy*'", min_size=1, max_size=3),
+                          min_size=1, max_size=8, unique=True))
+    gens = [Generator(name, draw(st.integers(-2, 2)), draw(st.integers(-3, 3))) for name in names]
+    allowed = [
+        Arrow(s.name, t.name, (t.maslov - s.maslov + 1) // 2)
+        for s in gens
+        for t in gens
+        if (t.maslov - s.maslov) % 2
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    return FilteredComplex(gens, [a for a, k in zip(allowed, keep) if k])
+
+
 class TestIsAcyclic:
     def test_box(self):
         report = is_acyclic(single_box())
@@ -364,29 +383,29 @@ class TestIsAcyclic:
         assert validate(complex) is not None
         report = is_acyclic(complex)
         assert report.verdict == "indeterminate"
+        assert report.cancelled_pairs == 0
         assert report.survivors == ("a", "b")
+
+    def test_one_arrow_off_the_maslov_rule_is_indeterminate(self):
+        # cancelling a -> b would leave nothing, but U^1 drops the grading by 3
+        complex = FilteredComplex(
+            [Generator("b", 0, 0), Generator("a", 0, 1)], [Arrow("a", "b", 1)]
+        )
+        assert is_acyclic(complex) == AcyclicityReport("indeterminate", 0, ("a", "b"))
+
+    @given(maslov_graded_complexes(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_any_arrow_off_the_maslov_rule_is_indeterminate(self, complex, data):
+        source = data.draw(st.sampled_from(complex.generators))
+        target = data.draw(st.sampled_from(complex.generators))
+        upower = data.draw(st.integers(-3, 3))
+        assume(target.maslov - 2 * upower != source.maslov - 1)
+        bad = complex.with_arrows(complex.arrows | {Arrow(source.name, target.name, upower)})
+        assert is_acyclic(bad) == AcyclicityReport("indeterminate", 0, tuple(sorted(complex.names())))
 
     @pytest.mark.parametrize("stair", TORUS_STAIRCASES[:6], ids=str)
     def test_staircases_never_acyclic(self, stair):
         assert is_acyclic(from_staircase(stair)).verdict == "certified-nonacyclic"
-
-
-@st.composite
-def maslov_graded_complexes(draw):
-    """Generators in random name order and any set of arrows that obey the
-    Maslov rule, each with its forced U-power (negative ones too), so d^2
-    need not vanish."""
-    names = draw(st.lists(st.text(alphabet="abxy*'", min_size=1, max_size=3),
-                          min_size=1, max_size=8, unique=True))
-    gens = [Generator(name, draw(st.integers(-2, 2)), draw(st.integers(-3, 3))) for name in names]
-    allowed = [
-        Arrow(s.name, t.name, (t.maslov - s.maslov + 1) // 2)
-        for s in gens
-        for t in gens
-        if (t.maslov - s.maslov) % 2
-    ]
-    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
-    return FilteredComplex(gens, [a for a, k in zip(allowed, keep) if k])
 
 
 class TestIsAcyclicMatchesReference:
