@@ -19,6 +19,14 @@ from collections.abc import Iterable
 from .errors import InvalidTorusParameters
 
 
+def _check_ints(exponent, coefficient) -> None:
+    """Both must be exactly int: no bool, float or string is truncated."""
+    if type(exponent) is not int or type(coefficient) is not int:
+        raise ValueError(
+            f"Laurent polynomial terms must be int, got {exponent!r}: {coefficient!r}"
+        )
+
+
 class LaurentPoly:
     """Immutable integer Laurent polynomial in one variable t."""
 
@@ -28,16 +36,17 @@ class LaurentPoly:
         data: dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = int(c)
+                _check_ints(e, c)
                 if c:
-                    data[int(e)] = c
+                    data[e] = c
         self._coeffs = data
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
         out: dict[int, int] = {}
         for e, c in pairs:
-            out[int(e)] = out.get(int(e), 0) + int(c)
+            _check_ints(e, c)
+            out[e] = out.get(e, 0) + c
         return cls(out)
 
     def to_pairs(self) -> list[list[int]]:

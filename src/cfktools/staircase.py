@@ -43,8 +43,10 @@ class Staircase:
     steps: tuple[int, ...] = ()
 
     def __post_init__(self):
-        steps = tuple(int(v) for v in self.steps)
+        steps = tuple(self.steps)
         object.__setattr__(self, "steps", steps)
+        if any(type(v) is not int for v in steps):
+            raise ValueError(f"staircase step lengths must be int, got {steps!r}")
         if len(steps) % 2:
             raise ValueError("staircase step vector must have even length")
         if any(v <= 0 for v in steps):

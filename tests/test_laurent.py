@@ -102,3 +102,17 @@ def test_poly_json_pairs_round_trip():
     encoded = json.dumps(poly.to_pairs())
     assert LaurentPoly.from_pairs(json.loads(encoded)) == poly
     assert json.dumps(LaurentPoly.from_pairs(json.loads(encoded)).to_pairs()) == encoded
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{0.5: 1, 1: 2.7}, {0: 1.0}, {True: 1}, {0: False}, {"1": 1}, {0: "1"}]
+)
+def test_non_int_terms_are_refused_not_truncated(coeffs):
+    with pytest.raises(ValueError, match="must be int"):
+        LaurentPoly(coeffs)
+
+
+@pytest.mark.parametrize("pairs", [[[0.5, 1]], [[0, 2.7]], [[0, True]], [[True, 1]], [["1", 1]]])
+def test_non_int_pairs_are_refused_not_truncated(pairs):
+    with pytest.raises(ValueError, match="must be int"):
+        LaurentPoly.from_pairs(pairs)

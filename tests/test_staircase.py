@@ -39,6 +39,12 @@ def test_invalid_step_vectors(steps):
         Staircase(steps)
 
 
+@pytest.mark.parametrize("steps", [(1.5, 1.5), ("1", "1"), (True, True), (1, 1.0)])
+def test_non_int_steps_are_refused_not_truncated(steps):
+    with pytest.raises(ValueError, match="must be int"):
+        Staircase(steps)
+
+
 def test_from_alexander_examples():
     assert staircase_from_alexander(alexander_torus(2, 5)) == T25
     assert staircase_from_alexander(alexander_torus(3, 4)) == T34
