@@ -393,15 +393,26 @@ def diagram() -> None:
     """Render a grid diagram to an SVG file."""
 
 
-def _write_svg(complex: FilteredComplex, path: str, square: bool = False) -> None:
-    """Draw the complex, or its tensor square, to the SVG file at path."""
+def _complex_svg(complex: FilteredComplex, square: bool) -> str:
+    """The diagram of the complex, or of its tensor square."""
     if square:
         if len(complex) > MAX_SQUARED_GENERATORS:
             raise InvalidParameter(
                 f"--tensor-square needs <= {MAX_SQUARED_GENERATORS} generators, got {len(complex)}"
             )
         complex = tensor(complex, complex)
-    document = diagrams.svg_for_complex(complex)
+    return diagrams.svg_for_complex(complex)
+
+
+def _staircase_svg(stair: Staircase, square: bool) -> str:
+    """The diagram of the staircase's complex, or of its tensor square."""
+    if square:
+        return _complex_svg(from_staircase(stair), square)
+    return diagrams.svg_for_staircase(stair)
+
+
+def _write_svg(document: str, path: str) -> None:
+    """Write the SVG document to the file at path."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -423,7 +434,7 @@ _square_option = click.option(
 @_square_option
 def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
     """Diagram of the (P, Q) torus knot complex."""
-    _write_svg(from_staircase(_torus_staircase(p, q)), path, tensor_square)
+    _write_svg(_staircase_svg(_torus_staircase(p, q), tensor_square), path)
 
 
 @diagram.command("staircase")
@@ -432,7 +443,7 @@ def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
 @_square_option
 def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
     """Diagram of a staircase complex."""
-    _write_svg(from_staircase(_parse_staircase(steps)), path, tensor_square)
+    _write_svg(_staircase_svg(_parse_staircase(steps), tensor_square), path)
 
 
 @diagram.command("double")
@@ -440,7 +451,7 @@ def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
 @_svg_option
 def diagram_double(m: int, path: str) -> None:
     """Diagram of the double of T(2, 2M+1)."""
-    _write_svg(build_double_complex(m), path)
+    _write_svg(diagrams.svg_for_complex(build_double_complex(m)), path)
 
 
 @diagram.command("complex")
@@ -449,7 +460,7 @@ def diagram_double(m: int, path: str) -> None:
 @_square_option
 def diagram_complex(source: str, path: str, tensor_square: bool) -> None:
     """Diagram of a complex loaded from a JSON file."""
-    _write_svg(_load_complex(source), path, tensor_square)
+    _write_svg(_complex_svg(_load_complex(source), tensor_square), path)
 
 
 def _family_rows(family: str) -> tuple[list[str], list[dict]]:

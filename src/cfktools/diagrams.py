@@ -7,7 +7,8 @@ per connected component by a breadth-first walk rooted at the component's
 first generator (conflicting constraints, which graded complexes built here
 never produce, fall back to the walk tree).  Fixed cell size, no styling
 knobs.  The grid draws a line per cell, so a diagram may span at most
-MAX_GRID_CELLS cells per axis, padding included.
+MAX_GRID_CELLS cells per axis, padding included; a staircase's span is
+checked from its vertices, before its complex is built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import deque
 
 from .errors import InvalidParameter
 from .filtered import Arrow, FilteredComplex, from_staircase
-from .staircase import Staircase
+from .staircase import Staircase, tau
 
 CELL = 40
 DOT_RADIUS = 5
@@ -45,6 +46,13 @@ def _columns(complex: FilteredComplex, arrows: list[Arrow]) -> dict[str, int]:
     return cols
 
 
+def _check_grid(columns: int, rows: int) -> None:
+    if max(columns, rows) > MAX_GRID_CELLS:
+        raise InvalidParameter(
+            f"diagrams span at most {MAX_GRID_CELLS} cells per axis, got {columns} x {rows}"
+        )
+
+
 def svg_for_complex(complex: FilteredComplex) -> str:
     ordered = sorted(complex.arrows)
     cols = _columns(complex, ordered)
@@ -66,10 +74,7 @@ def svg_for_complex(complex: FilteredComplex) -> str:
     jmin = min(p[1] for p in points) - PAD_CELLS
     jmax = max(p[1] for p in points) + PAD_CELLS
     columns, rows = imax - imin + 1, jmax - jmin + 1
-    if max(columns, rows) > MAX_GRID_CELLS:
-        raise InvalidParameter(
-            f"diagrams span at most {MAX_GRID_CELLS} cells per axis, got {columns} x {rows}"
-        )
+    _check_grid(columns, rows)
     width = columns * CELL
     height = rows * CELL
 
@@ -139,4 +144,11 @@ def svg_for_complex(complex: FilteredComplex) -> str:
 
 
 def svg_for_staircase(stair: Staircase) -> str:
+    """The staircase complex's diagram, its span checked before it is built.
+
+    Its dots sit at the walk's vertices (i, j), which run from 0 to tau on
+    each axis, so the diagram spans tau + 1 cells plus the padding.
+    """
+    span = tau(stair) + 1 + 2 * PAD_CELLS
+    _check_grid(span, span)
     return svg_for_complex(from_staircase(stair))

@@ -357,6 +357,22 @@ class TestDiagram:
         assert f"Error: diagrams span at most 10000 cells per axis, {message}\n" in result.output
         assert not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("args", [["torus", "2", "40001"], ["staircase", "20000,20000"]])
+    def test_staircase_grid_is_refused_before_its_complex_is_built(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        def unreachable(stair):
+            raise AssertionError("the staircase complex was built")
+
+        monkeypatch.setattr(cli, "from_staircase", unreachable)
+        monkeypatch.setattr(diagrams, "from_staircase", unreachable)
+        result = runner.invoke(main, ["diagram", *args, "--svg", str(tmp_path / "out.svg")])
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            "Error: diagrams span at most 10000 cells per axis, got 20003 x 20003\n"
+        )
+        assert not (tmp_path / "out.svg").exists()
+
     def test_grid_cap_is_inclusive(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(diagrams, "MAX_GRID_CELLS", 5)
         svg = ["--svg", str(tmp_path / "g.svg")]

@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 
-from cfktools import Staircase, build_double_complex, from_staircase, tensor
+from hypothesis import given, strategies as st
+
+from cfktools import Staircase, build_double_complex, from_staircase, tau, tensor
 from cfktools.diagrams import svg_for_complex, svg_for_staircase
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -64,3 +66,14 @@ def test_staircase_dots_sit_at_walk_coordinates():
         for d in dots
     }
     assert got == {(v.i, v.j) for v in vertices(stair)}
+
+
+@given(st.lists(st.integers(1, 6), max_size=5))
+def test_staircase_diagram_spans_tau_plus_one_cells_and_padding(half):
+    # svg_for_staircase checks the grid cap on this span before building the complex
+    from cfktools.diagrams import CELL, PAD_CELLS
+
+    stair = Staircase(tuple(half + half[::-1]))
+    root = ET.fromstring(svg_for_complex(from_staircase(stair)))
+    span = (tau(stair) + 1 + 2 * PAD_CELLS) * CELL
+    assert (int(root.get("width")), int(root.get("height"))) == (span, span)
