@@ -416,6 +416,16 @@ class TestIsAcyclicMatchesReference:
     def test_random_graded_complexes(self, complex):
         assert is_acyclic(complex) == reference_is_acyclic(complex)
 
+    def test_every_two_level_complex_on_six_generators(self):
+        # every arrow set from three generators at Maslov 1 to three at 0,
+        # for each way of placing the three in name order
+        for tops in itertools.combinations("abcdef", 3):
+            gens = [Generator(name, 0, int(name in tops)) for name in "abcdef"]
+            slots = [Arrow(s, t, 0) for s in tops for t in "abcdef" if t not in tops]
+            for keep in itertools.product((0, 1), repeat=len(slots)):
+                complex = FilteredComplex(gens, [a for a, k in zip(slots, keep) if k])
+                assert is_acyclic(complex) == reference_is_acyclic(complex)
+
     @given(st.integers(1, 6), st.integers(0, 1 << 16), st.integers(1, 16))
     @settings(deadline=None, max_examples=30)
     def test_scrambled_doubles_and_their_components(self, m, seed, count):
