@@ -42,10 +42,10 @@ from .complex_fixtures import (
 )
 from .oracles import (
     brute_solve_gf2,
-    reference_is_acyclic,
     reference_d1,
     reference_hat_generator,
     reference_hat_ranks,
+    reference_is_acyclic,
     reference_probes,
 )
 
