@@ -23,12 +23,11 @@ from .doubles import (
     build_double_complex,
     classify_iterates,
     delta_double_double,
-    hfk_hat_double,
     verify_splitting,
 )
 from .errors import CFKError, InvalidParameter, InvalidTorusParameters
 from .filtered import FilteredComplex, complex_from_json_dict, from_staircase, tensor, validate
-from .homology import d1_general
+from .homology import d1_general, hfk_hat_ranks
 from .laurent import LaurentPoly, alexander_torus
 from .staircase import (
     Staircase,
@@ -301,7 +300,7 @@ def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
         "valid": validate(complex) is None,
         "hfk_ranks": [
             {"alexander": a, "maslov": mm, "rank": r}
-            for (a, mm), r in sorted(hfk_hat_double(m).items(), reverse=True)
+            for (a, mm), r in sorted(hfk_hat_ranks(complex).items(), reverse=True)
         ],
     }
     lines = [
@@ -393,22 +392,27 @@ def diagram() -> None:
     """Render a grid diagram to an SVG file."""
 
 
+def _check_square(generators: int) -> None:
+    if generators > MAX_SQUARED_GENERATORS:
+        raise InvalidParameter(
+            f"--tensor-square needs <= {MAX_SQUARED_GENERATORS} generators, got {generators}"
+        )
+
+
 def _complex_svg(complex: FilteredComplex, square: bool) -> str:
     """The diagram of the complex, or of its tensor square."""
     if square:
-        if len(complex) > MAX_SQUARED_GENERATORS:
-            raise InvalidParameter(
-                f"--tensor-square needs <= {MAX_SQUARED_GENERATORS} generators, got {len(complex)}"
-            )
+        _check_square(len(complex))
         complex = tensor(complex, complex)
     return diagrams.svg_for_complex(complex)
 
 
 def _staircase_svg(stair: Staircase, square: bool) -> str:
     """The diagram of the staircase's complex, or of its tensor square."""
-    if square:
-        return _complex_svg(from_staircase(stair), square)
-    return diagrams.svg_for_staircase(stair)
+    if not square:
+        return diagrams.svg_for_staircase(stair)
+    _check_square(len(stair.steps) + 1)  # from_staircase's generator count
+    return _complex_svg(from_staircase(stair), square)
 
 
 def _write_svg(document: str, path: str) -> None:

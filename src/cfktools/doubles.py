@@ -40,21 +40,6 @@ def _check_m(m: int) -> None:
         raise InvalidParameter(f"family parameter must be >= 1, got {m}")
 
 
-def hfk_hat_double(m: int) -> dict[tuple[int, int], int]:
-    """Rank table of the double's hat homology, keyed by (alexander, maslov)."""
-    _check_m(m)
-    table: dict[tuple[int, int], int] = {
-        (1, 0): 2 * m,
-        (0, -1): 4 * m - 1,
-        (-1, -2): 2 * m,
-    }
-    for p in range(1, m + 1):
-        table[(1, 1 - 2 * p)] = table.get((1, 1 - 2 * p), 0) + 2
-        table[(0, -2 * p)] = table.get((0, -2 * p), 0) + 4
-        table[(-1, -1 - 2 * p)] = table.get((-1, -1 - 2 * p), 0) + 2
-    return table
-
-
 MAX_DOUBLE = 200  # largest m whose double is built: 3,199 generators
 
 
@@ -178,23 +163,21 @@ def _summand_delta2(report: SplittingReport) -> int:
 def delta_double_double(m: int, via: str = "both") -> int:
     """delta of the second iterated double, as twice the tensor-square d1.
 
-    via="both" (default) runs the full tensor square and the trefoil-summand
-    shortcut and insists they agree; "splitting" or "full" run one route.
-    The routes that square the whole double accept m <= MAX_SQUARED_DOUBLE.
+    via="splitting" squares the double's trefoil summand; via="both" (the
+    default) also squares the whole double, which takes m <= MAX_SQUARED_DOUBLE,
+    and insists the two routes agree.
     """
     _check_m(m)
-    if via not in ("both", "splitting", "full"):
+    if via not in ("both", "splitting"):
         raise ValueError(f"unknown route {via!r}")
-    if via != "splitting" and m > MAX_SQUARED_DOUBLE:
+    if via == "both" and m > MAX_SQUARED_DOUBLE:
         raise InvalidParameter(f"the full square needs m <= {MAX_SQUARED_DOUBLE}, got {m}")
     double = build_double_complex(m)
-    fast = None
-    if via != "full":
-        fast = _summand_delta2(verify_splitting(double))
-        if via == "splitting":
-            return fast
+    fast = _summand_delta2(verify_splitting(double))
+    if via == "splitting":
+        return fast
     full = 2 * d1_general(tensor(double, double))
-    if fast is not None and fast != full:
+    if fast != full:
         raise CFKError(
             f"route disagreement: splitting gives {fast}, full tensor gives {full}"
         )
@@ -236,17 +219,17 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
     """Can the double and its iterates be told apart in smooth concordance?
 
     DISTINGUISHABLE when |delta(D(K))| exceeds 8, the slice-genus ceiling for
-    every later iterate.  The two-strand m = 2 knot is a hard-coded special
-    case: its threshold test fails, but the directly computed second-iterate
-    delta differs from the first.  Everything else is INCONCLUSIVE.
+    every later iterate.  Below it, a two-strand knot's double is squared:
+    SPECIAL-CASE-DISTINGUISHABLE when the computed second-iterate delta
+    differs from the first, INCONCLUSIVE when they coincide.  Everything
+    else is INCONCLUSIVE.
     """
     two_strand = bool(stair.steps) and all(v == 1 for v in stair.steps)
-    m = len(stair.steps) // 2 if two_strand else None
 
     delta2 = None
     splitting = None
     if two_strand:
-        splitting = verify_splitting(build_double_complex(m))
+        splitting = verify_splitting(build_double_complex(len(stair.steps) // 2))
         delta2 = _summand_delta2(splitting)
     t = tau(stair)
     delta = delta_whitehead(stair)
@@ -257,23 +240,23 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
             f"|delta(D(K))| = {abs(delta)} exceeds the slice-genus ceiling 8 "
             f"carried by every higher iterate"
         )
-    elif two_strand and m == 2:
-        verdict = SPECIAL_CASE
-        note = (
-            f"threshold test fails at |delta| = 8, but the computed "
-            f"delta(D^2) = {delta2} differs from delta(D) = {delta}"
-        )
-    elif two_strand and m == 1:
-        verdict = INCONCLUSIVE
-        note = (
-            f"delta(D) = {delta} and delta(D^2) = {delta2} coincide; "
-            f"no invariant here separates the iterates"
-        )
-    else:
+    elif delta2 is None:
         verdict = INCONCLUSIVE
         note = (
             f"threshold test needs |delta| > 8, got {abs(delta)}; the double's "
             f"full complex is only built for the two-strand family"
+        )
+    elif delta2 != delta:
+        verdict = SPECIAL_CASE
+        note = (
+            f"threshold test fails at |delta| = {abs(delta)}, but the computed "
+            f"delta(D^2) = {delta2} differs from delta(D) = {delta}"
+        )
+    else:
+        verdict = INCONCLUSIVE
+        note = (
+            f"delta(D) = {delta} and delta(D^2) = {delta2} coincide; "
+            f"no invariant here separates the iterates"
         )
 
     psi = None

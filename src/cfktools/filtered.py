@@ -47,10 +47,7 @@ class BasisChange:
 
 
 class FilteredComplex:
-    """Immutable complex; operations return new values.
-
-    The adjacency lists behind ``arrows_from`` come in no particular order.
-    """
+    """Immutable complex; operations return new values."""
 
     __slots__ = ("generators", "arrows", "_by_name", "_out", "_in")
 
@@ -80,9 +77,6 @@ class FilteredComplex:
 
     def names(self) -> list[str]:
         return [g.name for g in self.generators]
-
-    def arrows_from(self, name: str) -> list[Arrow]:
-        return list(self._out[name])
 
     def with_arrows(self, arrows) -> "FilteredComplex":
         return FilteredComplex(self.generators, arrows)

@@ -1,8 +1,8 @@
 """Homology of bifiltered complexes over GF(2).
 
-Three computations live here: the homology of the i = 0 column (whose
-generator seeds everything else), the +1-surgery correction term by the
-U-power search
+Four computations live here: the homology of the i = 0 column (whose
+generator seeds everything else), the ranks of HFK-hat, the +1-surgery
+correction term by the U-power search
 
     d1 = -2 * min{ n >= 0 : U^(n+1) * xi dies in the quotient by the
                    all-negative subcomplex },
@@ -33,12 +33,12 @@ rows gone by then.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Sequence
 from operator import itemgetter
 
 from . import gf2
-from .errors import NotAKnotComplex
+from .errors import CFKError, NotAKnotComplex
 from .filtered import FilteredComplex
 
 
@@ -58,23 +58,6 @@ class AcyclicityReport:
 
     def __bool__(self) -> bool:
         return self.verdict == "certified-acyclic"
-
-
-def solve_gf2(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
-    """Some x with M x = rhs over GF(2), or None if the system is inconsistent."""
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged matrix")
-    if len(rhs) != len(rows):
-        raise ValueError(f"dimension mismatch: {len(rows)} rows, {len(rhs)} entries")
-    ncols = len(rows[0]) if rows else 0
-    columns = [
-        sum((rows[i][j] & 1) << i for i in range(len(rows))) for j in range(ncols)
-    ]
-    target = sum((rhs[i] & 1) << i for i in range(len(rhs)))
-    combo = gf2.solve_masks(columns, target)
-    if combo is None:
-        return None
-    return [(combo >> j) & 1 for j in range(ncols)]
 
 
 def _column(complex: FilteredComplex) -> dict[int, tuple[list[str], list[int]]]:
@@ -115,6 +98,26 @@ def _ranks(column: dict[int, tuple[list[str], list[int]]]) -> dict[int, int]:
 def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
     """Homology ranks of the i = 0 column, keyed by Maslov grading."""
     return _ranks(_column(complex))
+
+
+def hfk_hat_ranks(complex: FilteredComplex) -> dict[tuple[int, int], int]:
+    """Ranks of HFK-hat, keyed by (alexander, maslov), of a reduced complex.
+
+    Reduced: no arrow keeps both filtrations (upower 0 between equal
+    Alexander gradings), so the associated graded differential is zero and
+    each bigrading's rank is its generator count.  Any other complex raises
+    CFKError naming its least such arrow.
+    """
+    alexander = {g.name: g.alexander for g in complex.generators}
+    kept = [
+        a for a in complex.arrows if a.upower == 0 and alexander[a.source] == alexander[a.target]
+    ]
+    if kept:
+        a = min(kept)
+        raise CFKError(
+            f"complex is not reduced: arrow {a.source}->{a.target} keeps both filtrations"
+        )
+    return dict(Counter((g.alexander, g.maslov) for g in complex.generators))
 
 
 def hat_generator(complex: FilteredComplex) -> Cycle:

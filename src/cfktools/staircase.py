@@ -95,12 +95,6 @@ def delta_whitehead(stair: Staircase) -> int:
     return -4 * min(v.i + v.j for v in vertices(stair))
 
 
-def tensor_vertex_multiset(s1: Staircase, s2: Staircase) -> list[Vertex]:
-    """Pairwise coordinate sums with summed gradings."""
-    second = vertices(s2)
-    return [Vertex(a.i + b.i, a.j + b.j, a.gr + b.gr) for a in vertices(s1) for b in second]
-
-
 def alexander_of_staircase(stair: Staircase) -> LaurentPoly:
     """Alternating-sign polynomial read off the vertex bidegrees."""
     coeffs: dict[int, int] = {}

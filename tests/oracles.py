@@ -3,7 +3,8 @@
 Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
 set-based component search that builds only the library's data type, the
-O(V^2) pair loop for delta(D(K)) over a walk of the step vector, a
+O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
+walk of the step vector, the double's HFK-hat ranks by generator family, a
 move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
 span test per U-power, and the acyclicity certificate by repeated unit-pivot
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from cfktools import AcyclicityReport, FilteredComplex, Staircase, hat_generator
+from cfktools import AcyclicityReport, FilteredComplex, Staircase, Vertex, hat_generator
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -121,17 +122,43 @@ def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
     return components
 
 
-def reference_delta_whitehead(stair: Staircase) -> int:
-    """-4 * min over ordered vertex pairs of max(i+k, j+l), every pair tried."""
+def _walk(stair: Staircase) -> list[Vertex]:
+    """The vertices, walked from the step vector: corners grading 0, the rest 1."""
     i, j = 0, sum(stair.steps[1::2])
-    points = [(i, j)]
+    points = [Vertex(i, j, 0)]
     for pos, step in enumerate(stair.steps):
         if pos % 2 == 0:
             i += step
         else:
             j -= step
-        points.append((i, j))
-    return -4 * min(max(i + k, j + l) for i, j in points for k, l in points)
+        points.append(Vertex(i, j, (pos + 1) % 2))
+    return points
+
+
+def reference_delta_whitehead(stair: Staircase) -> int:
+    """-4 * min over ordered vertex pairs of max(i+k, j+l), every pair tried."""
+    points = _walk(stair)
+    return -4 * min(max(a.i + b.i, a.j + b.j) for a in points for b in points)
+
+
+def tensor_vertex_multiset(s1: Staircase, s2: Staircase) -> list[Vertex]:
+    """Pairwise coordinate sums with summed gradings, the vertices of the tensor product."""
+    second = _walk(s2)
+    return [Vertex(a.i + b.i, a.j + b.j, a.gr + b.gr) for a in _walk(s1) for b in second]
+
+
+def hfk_hat_double(m: int) -> dict[tuple[int, int], int]:
+    """HFK-hat ranks of D(T(2, 2m+1)), keyed by (alexander, maslov), by family."""
+    table: dict[tuple[int, int], int] = {
+        (1, 0): 2 * m,
+        (0, -1): 4 * m - 1,
+        (-1, -2): 2 * m,
+    }
+    for p in range(1, m + 1):
+        table[(1, 1 - 2 * p)] = table.get((1, 1 - 2 * p), 0) + 2
+        table[(0, -2 * p)] = table.get((0, -2 * p), 0) + 4
+        table[(-1, -1 - 2 * p)] = table.get((-1, -1 - 2 * p), 0) + 2
+    return table
 
 
 def _legal_shift(gens: dict, x: str, y: str) -> int | None:

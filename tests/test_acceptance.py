@@ -132,7 +132,8 @@ def test_criterion_07_double_complex_splitting():
 def test_criterion_08_second_iterate_delta():
     for m in range(1, 4):
         assert delta_double_double(m, via="both") == -4
-        assert delta_double_double(m, via="splitting") == delta_double_double(m, via="full")
+        double = build_double_complex(m)
+        assert delta_double_double(m, via="splitting") == 2 * d1_general(tensor(double, double))
     _pass(8, "delta(D^2) = -4 for m = 1..3, both routes agreeing")
 
 

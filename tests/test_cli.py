@@ -326,6 +326,20 @@ class TestDiagram:
         assert "Error: --tensor-square needs <= 200 generators, got 201\n" in result.output
         assert not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("args", [["torus", "2", "201"], ["staircase", ",".join(["1"] * 200)]])
+    def test_staircase_square_is_refused_before_its_complex_is_built(
+        self, runner, tmp_path, monkeypatch, args
+    ):
+        def unreachable(stair):
+            raise AssertionError("the staircase complex was built")
+
+        monkeypatch.setattr(cli, "from_staircase", unreachable)
+        out = tmp_path / "out.svg"
+        result = runner.invoke(main, ["diagram", *args, "--tensor-square", "--svg", str(out)])
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: --tensor-square needs <= 200 generators, got 201\n")
+        assert not out.exists()
+
     def test_tensor_square_cap_is_inclusive(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SQUARED_GENERATORS", 5)
         svg = ["--tensor-square", "--svg", str(tmp_path / "sq.svg")]

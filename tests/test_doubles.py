@@ -14,21 +14,30 @@ from cfktools import (
     delta_double_double,
     from_staircase,
     hat_generator,
-    hfk_hat_double,
+    hfk_hat_ranks,
     remove_diagonals,
     split_summands,
     splitting_plan,
+    tensor,
     validate,
     verify_splitting,
 )
-from cfktools.doubles import DISTINGUISHABLE, INCONCLUSIVE, MAX_SQUARED_DOUBLE, SPECIAL_CASE
+from cfktools import doubles
+from cfktools.doubles import (
+    DISTINGUISHABLE,
+    INCONCLUSIVE,
+    MAX_DOUBLE,
+    MAX_SQUARED_DOUBLE,
+    SPECIAL_CASE,
+)
 
 from .complex_fixtures import plan_respecting_moves
+from .oracles import hfk_hat_double
 
 
 class TestHfkTable:
     def test_m1(self):
-        assert hfk_hat_double(1) == {
+        assert hfk_hat_ranks(build_double_complex(1)) == {
             (1, 0): 2,
             (1, -1): 2,
             (0, -1): 3,
@@ -38,20 +47,20 @@ class TestHfkTable:
         }
 
     def test_m2_row_ranks(self):
-        table = hfk_hat_double(2)
+        table = hfk_hat_ranks(build_double_complex(2))
         assert sum(table.values()) == 31
         j0 = {m: r for (j, m), r in table.items() if j == 0}
         assert j0 == {-1: 7, -2: 4, -4: 4}
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_total_rank_and_support(self, m):
-        table = hfk_hat_double(m)
+        table = hfk_hat_ranks(build_double_complex(m))
         assert sum(table.values()) == 16 * m - 1
         assert all(j in (-1, 0, 1) for j, _ in table)
 
-    def test_rejects_bad_m(self):
-        with pytest.raises(InvalidParameter):
-            hfk_hat_double(0)
+    def test_matches_the_family_table_up_to_the_largest_double(self):
+        for m in range(1, MAX_DOUBLE + 1):
+            assert hfk_hat_ranks(build_double_complex(m)) == hfk_hat_double(m), m
 
 
 class TestBuild:
@@ -84,8 +93,10 @@ class TestBuild:
             name = f"y{2 * m + l - 1}"
             composites = {
                 (b.target, a.upower + b.upower)
-                for a in c.arrows_from(name)
-                for b in c.arrows_from(a.target)
+                for a in c.arrows
+                if a.source == name
+                for b in c.arrows
+                if b.source == a.target
             }
             assert composites == {(f"y{l - 1}", 1)}
 
@@ -157,18 +168,19 @@ class TestDeltaDoubleDouble:
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_routes_individually(self, m):
         assert delta_double_double(m, via="splitting") == -4
-        assert delta_double_double(m, via="full") == -4
+        double = build_double_complex(m)
+        assert 2 * d1_general(tensor(double, double)) == -4
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameter):
             delta_double_double(0)
-        with pytest.raises(ValueError):
-            delta_double_double(1, via="guess")
+        for via in ("guess", "full"):
+            with pytest.raises(ValueError):
+                delta_double_double(1, via=via)
 
     def test_only_the_full_square_is_capped(self):
-        for via in ("both", "full"):
-            with pytest.raises(InvalidParameter):
-                delta_double_double(MAX_SQUARED_DOUBLE + 1, via=via)
+        with pytest.raises(InvalidParameter):
+            delta_double_double(MAX_SQUARED_DOUBLE + 1, via="both")
         assert delta_double_double(MAX_SQUARED_DOUBLE + 1, via="splitting") == -4
 
 
@@ -209,6 +221,20 @@ class TestClassify:
         assert verdicts[1] == INCONCLUSIVE
         assert verdicts[2] == SPECIAL_CASE
         assert all(verdicts[m] == DISTINGUISHABLE for m in (3, 4, 5))
+
+    @pytest.mark.parametrize(
+        "m, verdict, note",
+        [
+            (1, SPECIAL_CASE, "delta(D^2) = -8 differs from delta(D) = -4"),
+            (2, INCONCLUSIVE, "delta(D) = -8 and delta(D^2) = -8 coincide"),
+        ],
+    )
+    def test_verdict_compares_the_computed_deltas(self, monkeypatch, m, verdict, note):
+        monkeypatch.setattr(doubles, "_summand_delta2", lambda report: -8)
+        report = classify_iterates(Staircase((1,) * (2 * m)))
+        assert report.verdict == verdict
+        assert report.delta_double_double == -8
+        assert note in report.note
 
     def test_unknot(self):
         report = classify_iterates(Staircase(()))

@@ -42,9 +42,17 @@ from .complex_fixtures import (
     box_pair_step_valid_patterns,
     scrambled_double,
 )
-from .oracles import reference_remove_diagonals, reference_split_summands
+from .oracles import (
+    reference_remove_diagonals,
+    reference_split_summands,
+    tensor_vertex_multiset,
+)
 
 TREFOIL = from_staircase(Staircase((1, 1)))
+
+PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda half: Staircase(tuple(half + half[::-1]))
+)
 
 
 def bigrading_profile(complex):
@@ -172,7 +180,7 @@ class TestFromStaircase:
         assert len(TREFOIL.generators) == 3
         middle = [g for g in TREFOIL.generators if g.maslov == -1]
         assert len(middle) == 1
-        upowers = sorted(a.upower for a in TREFOIL.arrows_from(middle[0].name))
+        upowers = sorted(a.upower for a in TREFOIL.arrows if a.source == middle[0].name)
         assert upowers == [0, 1]
 
     def test_unknot(self):
@@ -249,8 +257,6 @@ class TestTensor:
         assert arrow_profile(square) == arrow_profile(TREFOIL)
 
     def test_25_generators_match_vertex_multiset(self):
-        from cfktools import tensor_vertex_multiset
-
         t34 = Staircase((1, 2, 2, 1))
         square = tensor(from_staircase(t34), from_staircase(t34))
         assert len(square.generators) == 25
@@ -259,6 +265,12 @@ class TestTensor:
             (v.j - v.i, v.gr - 2 * v.i) for v in tensor_vertex_multiset(t34, t34)
         )
         assert bigrading_profile(square) == expected
+
+    @given(PALINDROMES, PALINDROMES)
+    def test_gradings_match_vertex_multiset(self, s1, s2):
+        product = tensor(from_staircase(s1), from_staircase(s2))
+        expected = Counter((v.j - v.i, v.gr - 2 * v.i) for v in tensor_vertex_multiset(s1, s2))
+        assert bigrading_profile(product) == expected
 
     def test_commutative_associative_profiles(self):
         a = from_staircase(Staircase((1, 1)))
@@ -435,11 +447,6 @@ class TestRemoveDiagonals:
                 remove_diagonals(complex, plan)
         else:
             assert after_each_pair(complex, plan) == expected
-
-
-PALINDROMES = st.lists(st.integers(1, 3), max_size=3).map(
-    lambda half: Staircase(tuple(half + half[::-1]))
-)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cfktools import (
     AcyclicityReport,
     Arrow,
+    CFKError,
     FilteredComplex,
     Generator,
     NotAKnotComplex,
@@ -21,14 +23,15 @@ from cfktools import (
     from_staircase,
     hat_generator,
     hat_homology_ranks,
+    hfk_hat_ranks,
     is_acyclic,
     remove_diagonals,
-    solve_gf2,
     split_summands,
     splitting_plan,
     staircase_from_alexander,
     tensor,
     validate,
+    vertices,
 )
 
 from .complex_fixtures import (
@@ -41,7 +44,6 @@ from .complex_fixtures import (
     trefoil_with_mixed_box,
 )
 from .oracles import (
-    brute_solve_gf2,
     reference_d1,
     reference_hat_generator,
     reference_hat_ranks,
@@ -75,38 +77,35 @@ TORUS_SQUARES_TO_289 = [
 ]
 
 
-class TestSolveGf2:
-    def test_identity(self):
-        assert solve_gf2([[1, 0], [0, 1]], [1, 0]) == [1, 0]
+class TestHfkHatRanks:
+    @given(PALINDROMES)
+    def test_staircase_has_rank_one_at_each_vertex(self, stair):
+        expected = {(v.j - v.i, v.gr - 2 * v.i): 1 for v in vertices(stair)}
+        assert hfk_hat_ranks(from_staircase(stair)) == expected
 
-    def test_zero_matrix_inconsistent(self):
-        assert solve_gf2([[0, 0], [0, 0]], [1, 0]) is None
+    @given(PALINDROMES)
+    def test_tensor_square_is_the_convolution(self, stair):
+        c = from_staircase(stair)
+        factor = hfk_hat_ranks(c)
+        expected = Counter()
+        for (a1, m1), r1 in factor.items():
+            for (a2, m2), r2 in factor.items():
+                expected[(a1 + a2, m1 + m2)] += r1 * r2
+        assert hfk_hat_ranks(tensor(c, c)) == expected
 
-    def test_two_by_two(self):
-        assert solve_gf2([[1, 1], [0, 1]], [1, 1]) == [0, 1]
-        assert brute_solve_gf2([[1, 1], [0, 1]], [1, 1]) == [0, 1]
+    def test_rejects_an_arrow_that_keeps_both_filtrations(self):
+        c = FilteredComplex([Generator("a", 0, 0), Generator("b", 0, -1)], [Arrow("a", "b", 0)])
+        assert validate(c) is None
+        with pytest.raises(CFKError, match=r"^complex is not reduced: arrow a->b "):
+            hfk_hat_ranks(c)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_gf2([[1, 0]], [1, 1])
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_against_enumeration(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        rows = [[rng.randint(0, 1) for _ in range(4)] for _ in range(3)]
-        rhs = [rng.randint(0, 1) for _ in range(3)]
-        got = solve_gf2(rows, rhs)
-        expect = brute_solve_gf2(rows, rhs)
-        if expect is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert all(
-                sum(rows[i][j] * got[j] for j in range(4)) % 2 == rhs[i]
-                for i in range(3)
-            )
+    def test_names_the_least_unreduced_arrow(self):
+        c = FilteredComplex(
+            [Generator("b", 1, 0), Generator("c", 1, -1), Generator("a", 1, -1)],
+            [Arrow("b", "c", 0), Arrow("b", "a", 0)],
+        )
+        with pytest.raises(CFKError, match=r"arrow b->a "):
+            hfk_hat_ranks(c)
 
 
 def _torus_square(p, q):

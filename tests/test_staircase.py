@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +14,6 @@ from cfktools import (
     delta_whitehead,
     staircase_from_alexander,
     tau,
-    tensor_vertex_multiset,
     vertices,
 )
 
@@ -129,29 +127,6 @@ def test_vertices_returns_a_fresh_list():
     assert stair == twin and hash(stair) == hash(twin)
     assert repr(stair) == repr(twin) == "Staircase(steps=(1, 2, 2, 1))"
     assert len({stair, twin}) == 1
-
-
-def test_tensor_vertex_multiset_profiles():
-    big = tensor_vertex_multiset(T34, T34)
-    assert len(big) == 25
-    assert Counter(v.gr for v in big) == {0: 9, 1: 12, 2: 4}
-
-    small = tensor_vertex_multiset(TREFOIL, TREFOIL)
-    assert Counter(v.gr for v in small) == {0: 4, 1: 4, 2: 1}
-
-    unit = tensor_vertex_multiset(UNKNOT, TREFOIL)
-    assert unit == vertices(TREFOIL)
-
-
-def test_tensor_vertex_multiset_walks_each_factor_once(monkeypatch):
-    from cfktools import staircase
-
-    calls = []
-    walk = staircase.vertices
-    monkeypatch.setattr(staircase, "vertices", lambda stair: calls.append(stair) or walk(stair))
-    product = tensor_vertex_multiset(T34, Staircase((1,) * 6))
-    assert len(product) == 5 * 7
-    assert len(calls) == 2
 
 
 def test_alexander_of_staircase_examples():
