@@ -3,7 +3,7 @@
 Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
 set-based component search that builds only the library's data type, the
-O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
+tensor product over generator names, the O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
 walk of the step vector, the double's HFK-hat ranks by generator family, a
 move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
@@ -15,7 +15,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from cfktools import AcyclicityReport, FilteredComplex, Staircase, Vertex, hat_generator
+from cfktools import (
+    AcyclicityReport,
+    Arrow,
+    FilteredComplex,
+    Generator,
+    Staircase,
+    Vertex,
+    hat_generator,
+)
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -120,6 +128,23 @@ def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
         arrows = [a for a in sorted(complex.arrows) if a.source in block]
         components.append(FilteredComplex(gens, arrows))
     return components
+
+
+def reference_tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
+    """Tensor product over GF(2)[U, U^-1], Leibniz differential."""
+    gens = [
+        Generator(f"{g.name}*{h.name}", g.alexander + h.alexander, g.maslov + h.maslov)
+        for g in c1.generators
+        for h in c2.generators
+    ]
+    arrows = []
+    for a in c1.arrows:
+        for h in c2.generators:
+            arrows.append(Arrow(f"{a.source}*{h.name}", f"{a.target}*{h.name}", a.upower))
+    for g in c1.generators:
+        for a in c2.arrows:
+            arrows.append(Arrow(f"{g.name}*{a.source}", f"{g.name}*{a.target}", a.upower))
+    return FilteredComplex(gens, arrows)
 
 
 def _walk(stair: Staircase) -> list[Vertex]:

@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from cfktools import (
     InadmissiblePlan,
     Staircase,
     basis_change,
+    build_double_complex,
     complex_from_json_dict,
     splitting_plan,
     from_staircase,
@@ -40,11 +42,16 @@ from .complex_fixtures import (
     box_pair_level_valid_patterns,
     box_pair_step,
     box_pair_step_valid_patterns,
+    legal_moves,
     scrambled_double,
+    single_box,
+    trefoil_with_mixed_box,
 )
 from .oracles import (
+    _apply_move,
     reference_remove_diagonals,
     reference_split_summands,
+    reference_tensor,
     tensor_vertex_multiset,
 )
 
@@ -137,6 +144,95 @@ def planned_complexes(draw):
 
 NAMES = st.text(alphabet="abxy*'", max_size=3)
 SMALL = st.integers(-3, 3)
+
+# staircases, D(1..4) and the box fixtures, valid or not
+FIXTURE_COMPLEXES = st.one_of(
+    PALINDROMES.map(from_staircase),
+    st.integers(1, 4).map(build_double_complex),
+    st.sampled_from(
+        [box_pair_level(*p) for p in product((0, 1), repeat=4)]
+        + [box_pair_step(*p) for p in box_pair_step_valid_patterns()]
+        + [box_over_corner(*p) for p in box_over_corner_valid_patterns()]
+        + [trefoil_with_mixed_box(), single_box()]
+    ),
+)
+
+
+@st.composite
+def loose_complexes(draw):
+    """Generators whose names may repeat, and arrows that may repeat or have
+    a loose end (a name no generator has)."""
+    gens = draw(st.lists(st.builds(Generator, st.sampled_from("abc"), SMALL, SMALL), max_size=5))
+    ends = st.sampled_from(["a", "b", "c", "ghost", "x*y"])
+    arrows = draw(st.lists(st.builds(Arrow, ends, ends, st.integers(-1, 2)), max_size=8))
+    return gens, arrows + draw(st.lists(st.sampled_from(arrows), max_size=3) if arrows else st.just([]))
+
+
+class TestPublicViews:
+    """A complex reads back exactly the generators and arrows it was built
+    from, whatever validate would say of them."""
+
+    def test_repeated_names_loose_ends_and_duplicate_arrows(self):
+        gens = [Generator("a", 0, 0), Generator("b", 0, -1), Generator("a", 1, 1)]
+        arrows = [Arrow("a", "b", 0), Arrow("b", "ghost", 0), Arrow("a", "b", 0)]
+        c = FilteredComplex(gens, arrows)
+        assert c.generators == tuple(gens)
+        assert c.arrows == frozenset({Arrow("a", "b", 0), Arrow("b", "ghost", 0)})
+        assert c.names() == ["a", "b", "a"] and len(c) == 3
+        assert c.generator("a") == Generator("a", 1, 1)
+        with pytest.raises(KeyError):
+            c.generator("ghost")
+        assert repr(c) == "<FilteredComplex 3 generators, 2 arrows>"
+        assert validate(c) == "duplicate-name: generator names ['a'] repeat"
+
+    @given(loose_complexes())
+    def test_views_of_drawn_complexes(self, drawn):
+        gens, arrows = drawn
+        c = FilteredComplex(gens, arrows)
+        assert c.generators == tuple(gens)
+        assert c.arrows == frozenset(arrows)
+        assert c.names() == [g.name for g in gens] and len(c) == len(gens)
+        last = {g.name: g for g in gens}
+        assert all(c.generator(name) == g for name, g in last.items())
+        again = FilteredComplex(list(gens), list(reversed(arrows)))
+        assert again == c and hash(again) == hash(c)
+        assert c.with_arrows(arrows) == c and hash(c.with_arrows(arrows)) == hash(c)
+        other = c.with_arrows(arrows[1:])
+        assert (other == c) == (frozenset(arrows[1:]) == frozenset(arrows))
+        assert other == FilteredComplex(gens, arrows[1:])
+        assert hash(other) == hash(FilteredComplex(gens, arrows[1:]))
+
+    @given(SMALL, SMALL, st.integers(0, 2), st.integers(0, 2), SMALL, SMALL, st.data())
+    def test_basis_change_of_drawn_complexes(self, ax, mx, shift, lift, ac, mc, data):
+        """Arrows into y copy onto x and arrows out of x copy onto y, loose
+        ends and all, each toggled in on its own."""
+        x, y = Generator("x", ax, mx), Generator("y", ax - shift + lift, mx - 2 * shift)
+        gens = data.draw(st.permutations([x, y, Generator("c", ac, mc)]))
+        ends = st.sampled_from(["x", "y", "c", "ghost"])
+        arrows = data.draw(st.lists(st.builds(Arrow, ends, ends, st.integers(-1, 2)), max_size=8))
+        c = FilteredComplex(gens, arrows)
+        after = basis_change(c, BasisChange(x="x", y="y"))
+        assert after.generators == c.generators
+        moved = _apply_move(set(c.arrows), "x", "y", shift)
+        assert after.arrows == {Arrow(*a) for a in moved}
+        assert after == FilteredComplex(gens, after.arrows)
+        assert hash(after) == hash(FilteredComplex(gens, after.arrows))
+        back = basis_change(after, BasisChange(x="x", y="y"))
+        assert back == c and hash(back) == hash(c)
+
+    @given(FIXTURE_COMPLEXES, st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_basis_change_equality_and_hash(self, complex, data):
+        moves = legal_moves(complex)
+        assume(moves)
+        move = data.draw(st.sampled_from(moves))
+        after = basis_change(complex, move)
+        rebuilt = FilteredComplex(complex.generators, after.arrows)
+        assert after == rebuilt and hash(after) == hash(rebuilt)
+        assert (after == complex) == (after.arrows == complex.arrows)
+        back = basis_change(after, move)
+        assert back == complex and hash(back) == hash(complex)
+
 
 
 class TestValueTypes:
@@ -271,6 +367,24 @@ class TestTensor:
         product = tensor(from_staircase(s1), from_staircase(s2))
         expected = Counter((v.j - v.i, v.gr - 2 * v.i) for v in tensor_vertex_multiset(s1, s2))
         assert bigrading_profile(product) == expected
+
+    @given(FIXTURE_COMPLEXES, FIXTURE_COMPLEXES)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_reference(self, c1, c2):
+        got, want = tensor(c1, c2), reference_tensor(c1, c2)
+        assert got.generators == want.generators
+        assert got.arrows == want.arrows
+        assert to_json_dict(got) == to_json_dict(want)
+        assert got == want and hash(got) == hash(want)
+
+    @given(loose_complexes(), loose_complexes())
+    def test_matches_reference_on_unchecked_complexes(self, d1, d2):
+        c1, c2 = FilteredComplex(*d1), FilteredComplex(*d2)
+        got, want = tensor(c1, c2), reference_tensor(c1, c2)
+        assert got.generators == want.generators
+        assert got.arrows == want.arrows
+        assert got == want and hash(got) == hash(want)
+        assert validate(got) == validate(want)
 
     def test_commutative_associative_profiles(self):
         a = from_staircase(Staircase((1, 1)))

@@ -46,7 +46,8 @@ CASES = {
 }
 
 # stdout length and SHA-256; the first two recorded with the O(V^2) pair loop
-# of delta_whitehead, the JSON ones at size with json.dumps(indent=2) as encoder
+# of delta_whitehead, the JSON ones at size with json.dumps(indent=2) as encoder,
+# the doubles with name-keyed complexes
 DIGESTS = {
     "table-torus-30.csv": (
         ["table", "--family", "torus:30", "--format", "csv"],
@@ -72,6 +73,27 @@ DIGESTS = {
         ["--json", "torus", "97", "99"],
         527_107,
         "005eb58173fd48962dff4382a5208526d9e58e5e5b4702f95b53c92c89377705",
+    ),
+    # the largest square (25,281 generators) and the largest double
+    "double-10-verify-delta2.json": (
+        ["--json", "double", "10", "--verify", "--delta2"],
+        3_053,
+        "e0ce4f234526906f20f1fa72a12d0032c05313bb66b88a56ce8d281dc27d877f",
+    ),
+    "double-200-verify.json": (
+        ["--json", "double", "200", "--verify"],
+        51_552,
+        "9f9868384b8d5adbdd954a4451c7f737e4aba6c32174a3ab88e9a8eb189123df",
+    ),
+}
+
+# length and SHA-256 of the SVG file a command writes; the T(7,11) square
+# (961 generators) pins a square's generator order and arrows through drawing
+SVG_DIGESTS = {
+    "diagram-torus-7-11-square.svg": (
+        ["diagram", "torus", "7", "11", "--tensor-square", "--svg", "out.svg"],
+        323_567,
+        "f347a9db727708ca08114d095d3ac445b6fc584e8ef0e9b1ce9bc8251ed8f2db",
     ),
 }
 
@@ -159,6 +181,18 @@ def test_output_matches_digest(name):
     assert result.exit_code == 0, result.output
     assert len(result.stdout_bytes) == size
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(SVG_DIGESTS))
+def test_svg_matches_digest(name, tmp_path):
+    args, size, digest = SVG_DIGESTS[name]
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        document = (Path(cwd) / "out.svg").read_bytes()
+    assert len(document) == size
+    assert hashlib.sha256(document).hexdigest() == digest
 
 
 if __name__ == "__main__":
