@@ -18,7 +18,7 @@ from itertools import chain
 
 import click
 
-from . import diagrams
+from . import diagrams, doubles
 from .doubles import (
     build_double_complex,
     classify_iterates,
@@ -290,12 +290,12 @@ def staircase(ctx: click.Context, steps: str) -> None:
 @click.pass_context
 def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
     """Build the double of T(2, 2M+1) and report on it."""
-    # first, so that a size cap rejects M before anything is built
-    value = delta_double_double(m, via="both") if delta2 else None
+    if delta2:  # first, so that a size cap rejects M before anything is built
+        doubles._check_route(m, "both")
     complex = build_double_complex(m)
     report: dict = {
         "knot": f"D(T(2,{2 * m + 1}))",
-        "generators": len(complex.generators),
+        "generators": len(complex),
         "arrows": len(complex.arrows),
         "valid": validate(complex) is None,
         "hfk_ranks": [
@@ -312,14 +312,15 @@ def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
     ]
     for row in report["hfk_ranks"]:
         lines.append(f"            ({row['alexander']},{row['maslov']}) -> {row['rank']}")
+    split = verify_splitting(complex) if verify or delta2 else None
     if verify:
-        split = verify_splitting(complex)
         report["splitting"] = split.to_dict()
         lines.append(
             f"splitting   trefoil={split.trefoil_summand} "
             f"acyclic_rest={split.acyclic_rest} components={list(split.component_sizes)}"
         )
     if delta2:
+        value = doubles._routes_agree(complex, split)
         report["delta_double_double"] = value
         lines.append(f"delta(D^2)  {value}")
     _emit(ctx, report, "\n".join(lines))

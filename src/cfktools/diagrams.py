@@ -60,10 +60,11 @@ def svg_for_complex(complex: FilteredComplex) -> str:
         g.name: (cols[g.name], g.alexander + cols[g.name])
         for g in complex.generators
     }
+    height = {g.name: g.alexander for g in complex.generators}
     arrows = []
     for a in ordered:
         x0, y0 = dots[a.source]
-        tip = (x0 - a.upower, complex.generator(a.target).alexander + x0 - a.upower)
+        tip = (x0 - a.upower, height[a.target] + x0 - a.upower)
         arrows.append(((x0, y0), tip))
 
     points = list(dots.values()) + [tip for _, tip in arrows]

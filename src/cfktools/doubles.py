@@ -27,8 +27,8 @@ from .filtered import (
     FilteredComplex,
     Generator,
     from_staircase,
+    _components,
     isomorphic_up_to_shift,
-    split_summands,
     tensor,
 )
 from .homology import d1_general, is_acyclic
@@ -130,24 +130,26 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     """Split into components; find a trefoil summand, certify the rest acyclic.
 
     Identification is by isomorphism search over grading and U-power shifts,
-    never by generator names.
+    never by generator names.  Only the three-generator components are built
+    as complexes, to be compared with the trefoil.
     """
-    components = split_summands(complex)
+    parts, loose = _components(complex)
     trefoil_index, trefoil, rest = None, None, complex
-    for idx, comp in enumerate(components):
-        if len(comp.generators) == 3 and isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
-            trefoil_index, trefoil = idx, comp
-            drop = set(comp.names())
-            rest = FilteredComplex(
-                [g for g in complex.generators if g.name not in drop],
-                [a for a in complex.arrows if a.source not in drop],
-            )
-            break
+    for idx, (part, extra) in enumerate(zip(parts, loose)):
+        if len(part) == 3:
+            comp = complex._subcomplex(part, extra)
+            if isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
+                # its two arrows leave no room for a loose one
+                trefoil_index, trefoil = idx, comp
+                drop = set(part)
+                keep = [p for p in range(len(complex)) if p not in drop]
+                rest = complex._subcomplex(keep, complex._loose)
+                break
     rest_verdict = is_acyclic(rest).verdict
     return SplittingReport(
         trefoil_summand=trefoil is not None,
         acyclic_rest=rest_verdict == "certified-acyclic",
-        component_sizes=tuple(len(c.generators) for c in components),
+        component_sizes=tuple(map(len, parts)),
         trefoil_index=trefoil_index,
         rest_verdict=rest_verdict,
         trefoil=trefoil,
@@ -160,6 +162,26 @@ def _summand_delta2(report: SplittingReport) -> int:
     return 2 * d1_general(tensor(report.trefoil, report.trefoil))
 
 
+def _check_route(m: int, via: str) -> None:
+    """Refuse a bad m or route, and a full square above MAX_SQUARED_DOUBLE."""
+    _check_m(m)
+    if via not in ("both", "splitting"):
+        raise ValueError(f"unknown route {via!r}")
+    if via == "both" and m > MAX_SQUARED_DOUBLE:
+        raise InvalidParameter(f"the full square needs m <= {MAX_SQUARED_DOUBLE}, got {m}")
+
+
+def _routes_agree(double: FilteredComplex, report: SplittingReport) -> int:
+    """delta(D^2) by the splitting and by the full square, which must agree."""
+    fast = _summand_delta2(report)
+    full = 2 * d1_general(tensor(double, double))
+    if fast != full:
+        raise CFKError(
+            f"route disagreement: splitting gives {fast}, full tensor gives {full}"
+        )
+    return full
+
+
 def delta_double_double(m: int, via: str = "both") -> int:
     """delta of the second iterated double, as twice the tensor-square d1.
 
@@ -167,21 +189,12 @@ def delta_double_double(m: int, via: str = "both") -> int:
     default) also squares the whole double, which takes m <= MAX_SQUARED_DOUBLE,
     and insists the two routes agree.
     """
-    _check_m(m)
-    if via not in ("both", "splitting"):
-        raise ValueError(f"unknown route {via!r}")
-    if via == "both" and m > MAX_SQUARED_DOUBLE:
-        raise InvalidParameter(f"the full square needs m <= {MAX_SQUARED_DOUBLE}, got {m}")
+    _check_route(m, via)
     double = build_double_complex(m)
-    fast = _summand_delta2(verify_splitting(double))
+    report = verify_splitting(double)
     if via == "splitting":
-        return fast
-    full = 2 * d1_general(tensor(double, double))
-    if fast != full:
-        raise CFKError(
-            f"route disagreement: splitting gives {fast}, full tensor gives {full}"
-        )
-    return full
+        return _summand_delta2(report)
+    return _routes_agree(double, report)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,26 @@ the differential by one, every arrow must satisfy
 so the upower between any two generators is pinned by their gradings.
 Arrow sets are GF(2): an arrow either exists or it does not, and all
 operations toggle by symmetric difference.
+
+A complex is stored by position.  Its generators are numbered 0..V-1 in the
+order the caller gives them, their names and gradings kept in flat tuples,
+and an arrow is an integer triple (source, target, upower) of positions.
+Every computation here and in homology.py runs on positions; names are read
+only where they decide what is printed or chosen:
+
+* the order of to_json_dict's arrows, and of the SVG's (diagrams.py reads
+  the named views);
+* the defect validate reports first, the least faulty arrow by name;
+* the candidate moves of remove_diagonals, tried in name order;
+* in homology.py, level 0 of the column, whose bit order the canonical
+  cycle's coset minimum reads, and the acyclicity walk, which runs in name
+  order.
+
+The named views (generators, arrows, generator(name)) are built when first
+read, and a complex built from Generators and Arrows turns names into
+positions when first asked.  Complexes validate refuses keep what they were
+built from: a repeated name stands for its last generator, and an arrow
+whose end names no generator is loose, kept by name beside the triples.
 """
 
 from __future__ import annotations
@@ -19,10 +39,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import gf2
-from .errors import IllegalBasisChange, InadmissiblePlan
+from .errors import CFKError, IllegalBasisChange, InadmissiblePlan
 from .staircase import Staircase, vertices
 
 
@@ -47,85 +68,218 @@ class BasisChange:
 
 
 class FilteredComplex:
-    """Immutable complex; operations return new values."""
+    """Immutable complex; operations return new values.
 
-    __slots__ = ("generators", "arrows", "_by_name", "_out", "_in")
+    Generator k has name _names[k] and gradings _alexander[k] and
+    _maslov[k]; _arrows holds the arrow triples and _loose the loose Arrows.
+    """
+
+    __slots__ = (
+        "_names", "_alexander", "_maslov", "_triples", "_loose_arrows",
+        "_generators", "_arrow_view", "_index", "_adjacency",
+    )
 
     def __init__(self, generators, arrows):
         gens = tuple(generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "arrows", frozenset(arrows))
-        object.__setattr__(self, "_by_name", {g.name: g for g in gens})
-        out: dict[str, list[Arrow]] = {g.name: [] for g in gens}
-        inc: dict[str, list[Arrow]] = {g.name: [] for g in gens}
-        for a in self.arrows:
-            if a.source in out:
-                out[a.source].append(a)
-            if a.target in inc:
-                inc[a.target].append(a)
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_in", inc)
+        names, alexander, maslov = zip(*gens) if gens else ((), (), ())
+        _fill(self, names, alexander, maslov, None, None, gens, frozenset(arrows), None)
+
+    @classmethod
+    def _build(cls, names, alexander, maslov, arrows, loose=frozenset(), index=None,
+               generators=None, view=None):
+        """A complex from its positional fields; arrows is a frozenset of
+        triples, or None to resolve the named view when first needed."""
+        complex = object.__new__(cls)
+        _fill(complex, names, alexander, maslov, arrows, loose, generators, view, index)
+        return complex
+
+    def _with(self, arrows, loose=None) -> "FilteredComplex":
+        """These generators with the arrow triples arrows (and these loose ones)."""
+        return FilteredComplex._build(
+            self._names, self._alexander, self._maslov, arrows,
+            self._loose if loose is None else loose, self._index, self._generators,
+        )
 
     def __setattr__(self, *_):
         raise AttributeError("FilteredComplex is immutable")
 
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        if self._generators is None:
+            view = tuple(map(Generator, self._names, self._alexander, self._maslov))
+            _set(self, "_generators", view)
+        return self._generators
+
+    @property
+    def arrows(self) -> frozenset[Arrow]:
+        if self._arrow_view is None:
+            names = self._names
+            view = frozenset([Arrow(names[s], names[t], u) for s, t, u in self._triples])
+            _set(self, "_arrow_view", view | self._loose_arrows)
+        return self._arrow_view
+
+    @property
+    def _arrows(self) -> frozenset[tuple[int, int, int]]:
+        if self._triples is None:
+            self._resolve()
+        return self._triples
+
+    @property
+    def _loose(self) -> frozenset[Arrow]:
+        if self._loose_arrows is None:
+            self._resolve()
+        return self._loose_arrows
+
+    def _resolve(self) -> None:
+        triples, loose = _positions(self._lookup(), self._arrow_view)
+        _set(self, "_triples", triples)
+        _set(self, "_loose_arrows", loose)
+
+    def _lookup(self) -> dict[str, int]:
+        """Each name's position, the last one for a repeated name."""
+        if self._index is None:
+            _set(self, "_index", _index_of(self._names))
+        return self._index
+
+    def _neighbours(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+        """(out, into): for each position, the (target, upower) of the arrows
+        out of it and the (source, upower) of the arrows into it."""
+        if self._adjacency is None:
+            out: list[list[tuple[int, int]]] = [[] for _ in self._names]
+            into: list[list[tuple[int, int]]] = [[] for _ in self._names]
+            for s, t, u in self._arrows:
+                out[s].append((t, u))
+                into[t].append((s, u))
+            _set(self, "_adjacency", (out, into))
+        return self._adjacency
+
+    def _least(self, triples) -> tuple[int, int, int]:
+        """The least of the arrow triples in the order of their named Arrows."""
+        names = self._names
+        return min(triples, key=lambda a: (names[a[0]], names[a[1]], a[2]))
+
+    def _subcomplex(self, keep: list[int], loose=()) -> "FilteredComplex":
+        """The generators at positions keep, in that order, with their arrows
+        and the given loose arrows.  No arrow may join keep to the rest, and
+        keep must hold every position of each name it holds."""
+        new = dict(zip(keep, range(len(keep))))
+        out = self._neighbours()[0]
+        names, alexander, maslov = self._names, self._alexander, self._maslov
+        return FilteredComplex._build(
+            tuple([names[p] for p in keep]),
+            tuple([alexander[p] for p in keep]),
+            tuple([maslov[p] for p in keep]),
+            frozenset([(new[s], new[t], u) for s in keep for t, u in out[s]]),
+            frozenset(loose),
+        )
+
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self._names)
 
     def generator(self, name: str) -> Generator:
-        return self._by_name[name]
+        return self.generators[self._lookup()[name]]
 
     def names(self) -> list[str]:
-        return [g.name for g in self.generators]
+        return list(self._names)
 
     def with_arrows(self, arrows) -> "FilteredComplex":
-        return FilteredComplex(self.generators, arrows)
+        return FilteredComplex._build(
+            self._names, self._alexander, self._maslov, None, None, self._index,
+            self._generators, frozenset(arrows),
+        )
+
+    def _key(self) -> tuple:
+        return (self._names, self._alexander, self._maslov, self._arrows, self._loose)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredComplex):
             return NotImplemented
-        return self.generators == other.generators and self.arrows == other.arrows
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.generators, self.arrows))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"<FilteredComplex {len(self.generators)} generators, {len(self.arrows)} arrows>"
+        arrows = len(self._arrows) + len(self._loose)
+        return f"<FilteredComplex {len(self._names)} generators, {arrows} arrows>"
+
+
+_set = object.__setattr__
+
+
+def _fill(complex, names, alexander, maslov, triples, loose, generators, view, index) -> None:
+    _set(complex, "_names", names)
+    _set(complex, "_alexander", alexander)
+    _set(complex, "_maslov", maslov)
+    _set(complex, "_triples", triples)
+    _set(complex, "_loose_arrows", loose)
+    _set(complex, "_generators", generators)
+    _set(complex, "_arrow_view", view)
+    _set(complex, "_index", index)
+    _set(complex, "_adjacency", None)
+
+
+def _index_of(names) -> dict[str, int]:
+    return dict(zip(names, range(len(names))))
+
+
+def _positions(index: dict[str, int], arrows) -> tuple[frozenset, frozenset]:
+    """(triples, loose): the arrows whose ends index names, by position, and
+    the rest as Arrows."""
+    try:
+        return frozenset([(index[s], index[t], u) for s, t, u in arrows]), frozenset()
+    except KeyError:
+        pass
+    triples, loose = [], []
+    for source, target, upower in arrows:
+        s, t = index.get(source), index.get(target)
+        if s is None or t is None:
+            loose.append(Arrow(source, target, upower))
+        else:
+            triples.append((s, t, upower))
+    return frozenset(triples), frozenset(loose)
 
 
 def validate(complex: FilteredComplex) -> str | None:
-    """None when every invariant holds, else a report naming the first failure."""
-    names = [g.name for g in complex.generators]
-    dupes = [n for n, k in Counter(names).items() if k > 1]
-    if dupes:
+    """None when every invariant holds, else a report naming the first failure.
+
+    The checks run by position; a report names the least faulty arrow in
+    name order, or the first generator in the complex's order whose d²
+    is not zero.
+    """
+    names = complex._names
+    if len(complex._lookup()) != len(names):
+        dupes = [n for n, k in Counter(names).items() if k > 1]
         return f"duplicate-name: generator names {sorted(dupes)} repeat"
-    by_name = complex._by_name
-    ordered = sorted(complex.arrows)
-    for a in ordered:
-        if a.source not in by_name or a.target not in by_name:
-            return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
-    for a in ordered:
-        src = by_name[a.source]
-        tgt = by_name[a.target]
-        if tgt.maslov - 2 * a.upower != src.maslov - 1:
+    if complex._loose:
+        a = min(complex._loose)
+        return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
+    alexander, maslov = complex._alexander, complex._maslov
+    faulty = [
+        (s, t, u) for s, t, u in complex._arrows
+        if maslov[t] - 2 * u != maslov[s] - 1 or u < 0 or alexander[t] - u > alexander[s]
+    ]
+    if faulty:
+        s, t, u = complex._least(faulty)
+        if maslov[t] - 2 * u != maslov[s] - 1:
             return (
-                f"maslov: arrow {a.source}->{a.target} (upower {a.upower}) "
+                f"maslov: arrow {names[s]}->{names[t]} (upower {u}) "
                 f"does not drop the grading by one"
             )
-        if a.upower < 0 or tgt.alexander - a.upower > src.alexander:
-            return (
-                f"filtration: arrow {a.source}->{a.target} (upower {a.upower}) "
-                f"raises a filtration level"
-            )
-    out = complex._out
-    for g in complex.generators:
+        return (
+            f"filtration: arrow {names[s]}->{names[t]} (upower {u}) "
+            f"raises a filtration level"
+        )
+    out = complex._neighbours()[0]
+    for g, steps in enumerate(out):
         # (end, upower) of the two-step paths out of g that occur an odd number
         # of times; one middle's arrows all differ, so each toggles as a set
-        odd: set[tuple[str, int]] = set()
-        for _, middle, up in out[g.name]:
-            odd ^= {(end, up + down) for _, end, down in out[middle]}
+        odd: set[tuple[int, int]] = set()
+        for middle, up in steps:
+            odd ^= {(end, up + down) for end, down in out[middle]}
         if odd:
-            return f"d-squared: d²({g.name}) contains {sorted(odd)}"
+            named = sorted((names[end], up) for end, up in odd)
+            return f"d-squared: d²({names[g]}) contains {named}"
     return None
 
 
@@ -134,68 +288,104 @@ def from_staircase(stair: Staircase) -> FilteredComplex:
 
     Horizontal arrows absorb their i-drop into the U-power, so a leftward
     step of length L becomes an arrow with upower L between representatives.
+    Generator k is named sk.
     """
     vs = vertices(stair)
-    gens = [
-        Generator(f"s{k}", v.j - v.i, v.gr - 2 * v.i) for k, v in enumerate(vs)
-    ]
     arrows = []
     for k in range(1, len(vs), 2):
-        arrows.append(Arrow(f"s{k}", f"s{k - 1}", stair.steps[k - 1]))
-        arrows.append(Arrow(f"s{k}", f"s{k + 1}", 0))
-    return FilteredComplex(gens, arrows)
+        arrows.append((k, k - 1, stair.steps[k - 1]))
+        arrows.append((k, k + 1, 0))
+    return FilteredComplex._build(
+        tuple(f"s{k}" for k in range(len(vs))),
+        tuple(v.j - v.i for v in vs),
+        tuple(v.gr - 2 * v.i for v in vs),
+        frozenset(arrows),
+    )
 
 
 def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
-    """Tensor product over GF(2)[U, U^-1], Leibniz differential."""
-    gens = [
-        Generator(f"{g.name}*{h.name}", g.alexander + h.alexander, g.maslov + h.maslov)
-        for g in c1.generators
-        for h in c2.generators
-    ]
-    arrows = []
-    for a in c1.arrows:
-        for h in c2.generators:
-            arrows.append(Arrow(f"{a.source}*{h.name}", f"{a.target}*{h.name}", a.upower))
-    for g in c1.generators:
-        for a in c2.arrows:
-            arrows.append(Arrow(f"{g.name}*{a.source}", f"{g.name}*{a.target}", a.upower))
-    return FilteredComplex(gens, arrows)
+    """Tensor product over GF(2)[U, U^-1], Leibniz differential.
+
+    The pair (g, h) of positions sits at position g * len(c2) + h, named
+    "g*h" from the factors' names, so the generators run in pair order.
+    """
+    n2 = len(c2)
+    names = tuple([f"{a}*{b}" for a in c1._names for b in c2._names])
+    alexander = tuple([a + b for a in c1._alexander for b in c2._alexander])
+    maslov = tuple([a + b for a in c1._maslov for b in c2._maslov])
+    arrows = [(s * n2 + h, t * n2 + h, u) for s, t, u in c1._arrows for h in range(n2)]
+    arrows += [(g + s, g + t, u) for g in range(0, len(names), n2 or 1) for s, t, u in c2._arrows]
+    product = FilteredComplex._build(names, alexander, maslov, frozenset(arrows))
+    if _plain(c1) and _plain(c2) and not (c1._loose or c2._loose):
+        return product
+    # names may repeat or arrows dangle: resolve every arrow by its name
+    named = {Arrow(names[s], names[t], u) for s, t, u in arrows}
+    named.update(
+        Arrow(f"{a.source}*{h}", f"{a.target}*{h}", a.upower) for a in c1._loose for h in c2._names
+    )
+    named.update(
+        Arrow(f"{g}*{a.source}", f"{g}*{a.target}", a.upower) for g in c1._names for a in c2._loose
+    )
+    return product.with_arrows(named)
 
 
-def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
-    """U-power that makes x's translate share y's grading; raises if illegal."""
-    if move.x == move.y or move.x not in complex._by_name or move.y not in complex._by_name:
+def _plain(complex: FilteredComplex) -> bool:
+    """Do the names differ and hold no '*', so that product names differ too?"""
+    return len(complex._lookup()) == len(complex) and not any("*" in n for n in complex._names)
+
+
+def _ends(complex: FilteredComplex, move: BasisChange) -> tuple[int, int]:
+    """Positions of the move's x and y; raises unless they name two generators."""
+    index = complex._lookup()
+    if move.x == move.y or move.x not in index or move.y not in index:
         raise IllegalBasisChange(f"bad basis change {move.x} into {move.y}")
-    gx = complex.generator(move.x)
-    gy = complex.generator(move.y)
-    if (gx.maslov - gy.maslov) % 2:
+    return index[move.x], index[move.y]
+
+
+def _shift(complex: FilteredComplex, x: int, y: int) -> int:
+    """U-power that makes x's translate share y's grading; raises if illegal."""
+    names, alexander, maslov = complex._names, complex._alexander, complex._maslov
+    if (maslov[x] - maslov[y]) % 2:
+        raise IllegalBasisChange(f"{names[x]} and {names[y]} have different grading parity")
+    shift = (maslov[x] - maslov[y]) // 2
+    if shift < 0 or alexander[x] - shift > alexander[y]:
         raise IllegalBasisChange(
-            f"{move.x} and {move.y} have different grading parity"
-        )
-    shift = (gx.maslov - gy.maslov) // 2
-    if shift < 0 or gx.alexander - shift > gy.alexander:
-        raise IllegalBasisChange(
-            f"U^{shift} {move.x} does not sit below {move.y} in the filtration"
+            f"U^{shift} {names[x]} does not sit below {names[y]} in the filtration"
         )
     return shift
 
 
-def _toggles(complex: FilteredComplex, move: BasisChange) -> set[Arrow]:
-    """Arrows that y' = y + U^shift x adds or cancels; raises if illegal.
+def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
+    """U-power of the move y' = y + U^shift x; raises if it is illegal."""
+    return _shift(complex, *_ends(complex, move))
+
+
+def _toggles(complex: FilteredComplex, x: int, y: int) -> set[tuple[int, int, int]]:
+    """Arrow triples that y' = y + U^shift x adds or cancels; raises if illegal.
 
     Arrows into y gain a copy landing on x; arrows out of x gain a copy
     leaving y.
     """
-    shift = _shift_of(complex, move)
-    toggles = {Arrow(a.source, move.x, a.upower + shift) for a in complex._in[move.y]}
-    toggles ^= {Arrow(move.y, a.target, a.upower + shift) for a in complex._out[move.x]}
+    shift = _shift(complex, x, y)
+    out, into = complex._neighbours()
+    toggles = {(s, x, u + shift) for s, u in into[y]}
+    toggles ^= {(y, t, u + shift) for t, u in out[x]}
     return toggles
 
 
 def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex:
     """Apply y' = y + U^shift x; coinciding arrows cancel mod 2."""
-    return complex.with_arrows(complex.arrows ^ _toggles(complex, move))
+    x, y = _ends(complex, move)
+    arrows = complex._arrows ^ _toggles(complex, x, y)
+    loose = complex._loose
+    if loose:  # their copies dangle too
+        shift = _shift(complex, x, y)
+        loose = loose.symmetric_difference(
+            [Arrow(a.source, move.x, a.upower + shift) for a in loose if a.target == move.y]
+        ).symmetric_difference(
+            [Arrow(move.y, a.target, a.upower + shift) for a in loose if a.source == move.x]
+        )
+    return complex._with(arrows, loose)
 
 
 def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> FilteredComplex:
@@ -204,8 +394,8 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
     The plan must partition the generators, and cross-subset arrows may only
     run from later subsets toward earlier ones.  Subsets hi run back to front,
     each against the earlier subsets lo nearest first; a GF(2) solve picks the
-    moves y' = y + U^c x (y in hi, x in lo) whose toggles clear the pair.
-    Every pair reads the input complex, because a move:
+    moves y' = y + U^c x (y in hi, x in lo, each in name order) whose toggles
+    clear the pair.  Every pair reads the input complex, because a move:
 
     * reads arrows into y, which come only from hi once later subsets are
       cleared, and arrows out of x, untouched until x's subset is hi;
@@ -220,53 +410,70 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
             if name in position:
                 raise InadmissiblePlan(f"generator {name} appears twice in the plan")
             position[name] = idx
-    if set(position) != {g.name for g in complex.generators}:
+    names = complex._names
+    if set(position) != set(names):
         raise InadmissiblePlan("plan does not partition the generators")
-    for a in sorted(complex.arrows):
-        if position[a.source] < position[a.target]:
-            raise InadmissiblePlan(
-                f"arrow {a.source}->{a.target} runs from subset "
-                f"{position[a.source]} to later subset {position[a.target]}"
-            )
+    if complex._loose:
+        a = min(complex._loose)
+        raise InadmissiblePlan(f"arrow {a.source}->{a.target} has a loose end")
+    subset = [position[name] for name in names]
+    forward = [a for a in complex._arrows if subset[a[0]] < subset[a[1]]]
+    if forward:
+        s, t, _ = complex._least(forward)
+        raise InadmissiblePlan(
+            f"arrow {names[s]}->{names[t]} runs from subset "
+            f"{subset[s]} to later subset {subset[t]}"
+        )
 
+    index = complex._lookup()
+    members = [[index[name] for name in sorted(part)] for part in plan]
+    out = complex._neighbours()[0]
     for hi in range(len(plan) - 1, 0, -1):
-        residual = {a for g in plan[hi] for a in complex._out[g] if position[a.target] != hi}
+        residual = {(g, t, u) for g in members[hi] for t, u in out[g] if subset[t] != hi}
         for lo in range(hi - 1, -1, -1):
-            residual ^= _clear_pair(complex, residual, plan, hi, lo)
+            residual ^= _clear_pair(complex, residual, members, subset, hi, lo)
         if residual:
-            raise InadmissiblePlan(f"cross arrows survived elimination: {sorted(residual)}")
-    kept = [a for a in complex.arrows if position[a.source] == position[a.target]]
-    return complex.with_arrows(kept)
+            survivors = sorted(Arrow(names[s], names[t], u) for s, t, u in residual)
+            raise InadmissiblePlan(f"cross arrows survived elimination: {survivors}")
+    return complex._with(frozenset([a for a in complex._arrows if subset[a[0]] == subset[a[1]]]))
 
 
 def _clear_pair(
-    complex: FilteredComplex, residual: set[Arrow], plan: list[list[str]], hi: int, lo: int
-) -> set[Arrow]:
-    """Toggles, all out of subset hi, of moves that clear residual's arrows into lo."""
-    hi_set, lo_set = set(plan[hi]), set(plan[lo])
+    complex: FilteredComplex,
+    residual: set[tuple[int, int, int]],
+    members: list[list[int]],
+    subset: list[int],
+    hi: int,
+    lo: int,
+) -> set[tuple[int, int, int]]:
+    """Toggles, all out of subset hi, of moves that clear residual's arrows into lo.
+
+    members lists each subset's positions in name order and subset gives
+    each position's subset.
+    """
     # cross arrow (hi to lo) -> its GF(2) coordinate; the solve picks the same
     # moves however the coordinates are numbered
-    bit: dict[Arrow, int] = {}
+    bit: dict[tuple[int, int, int], int] = {}
     target = 0
     for a in residual:
-        if a.target in lo_set:
+        if subset[a[1]] == lo:
             target |= 1 << bit.setdefault(a, len(bit))
     if target == 0:
         return set()
 
-    toggle_sets: list[set[Arrow]] = []
+    toggle_sets: list[set[tuple[int, int, int]]] = []
     columns: list[int] = []
-    for y in sorted(hi_set):
-        for x in sorted(lo_set):
+    for y in members[hi]:
+        for x in members[lo]:
             try:
-                toggles = _toggles(complex, BasisChange(x=x, y=y))
+                toggles = _toggles(complex, x, y)
             except IllegalBasisChange:
                 continue
             # the input's arrows into y from later subsets are cleared by now
-            toggles = {a for a in toggles if a.source in hi_set}
+            toggles = {a for a in toggles if subset[a[0]] == hi}
             column = 0
             for a in toggles:
-                if a.target in lo_set:
+                if subset[a[1]] == lo:
                     column ^= 1 << bit.setdefault(a, len(bit))
             if column:
                 toggle_sets.append(toggles)
@@ -278,7 +485,7 @@ def _clear_pair(
             f"no basis-change sequence clears arrows from subset {hi} to subset {lo}"
         )
     # a pair's moves commute: none toggles an arrow that another one reads
-    cleared: set[Arrow] = set()
+    cleared: set[tuple[int, int, int]] = set()
     for k, toggles in enumerate(toggle_sets):
         if (chosen >> k) & 1:
             cleared ^= toggles
@@ -290,24 +497,63 @@ def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
 
     Each component keeps its generators in the complex's order.
     """
-    label: dict[str, int] = {}
-    parts: list[tuple[list[Generator], list[Arrow]]] = []
-    for g in complex.generators:
-        if g.name not in label:
-            label[g.name] = len(parts)
-            parts.append(([], []))
-            stack = [g.name]
+    parts, loose = _components(complex)
+    return [complex._subcomplex(part, extra) for part, extra in zip(parts, loose)]
+
+
+def _components(complex: FilteredComplex) -> tuple[list[list[int]], list[list[Arrow]]]:
+    """Each component's positions and loose arrows, in first-generator order.
+
+    The generators of one name share a component, and loose arrows join
+    their ends through a node for each missing name.
+    """
+    names = complex._names
+    index = complex._lookup()
+    out, into = complex._neighbours()
+    sources = []
+    if complex._loose:  # loose arrows join their ends, each missing name a node
+        out, into = [list(o) for o in out], [list(i) for i in into]
+        ghosts: dict[str, int] = {}
+
+        def node(name: str) -> int:
+            if name in index:
+                return index[name]
+            if name not in ghosts:
+                ghosts[name] = len(out)
+                out.append([])
+                into.append([])
+            return ghosts[name]
+
+        for a in complex._loose:
+            s, t = node(a.source), node(a.target)
+            out[s].append((t, a.upower))
+            into[t].append((s, a.upower))
+            sources.append(s)
+    label = [-1] * len(out)
+    parts: list[list[int]] = []
+    for p, name in enumerate(names):
+        root = index[name]
+        if label[root] < 0:
+            part = label[root] = len(parts)
+            parts.append([])
+            stack = [root]
             while stack:
-                name = stack.pop()
-                for a in complex._out[name] + complex._in[name]:
-                    for end in (a.source, a.target):
-                        if end not in label:
-                            label[end] = label[g.name]
-                            stack.append(end)
-        parts[label[g.name]][0].append(g)
-    for a in complex.arrows:
-        parts[label[a.source]][1].append(a)
-    return [FilteredComplex(gens, arrows) for gens, arrows in parts]
+                node_ = stack.pop()
+                for q, _ in out[node_]:
+                    if label[q] < 0:
+                        label[q] = part
+                        stack.append(q)
+                for q, _ in into[node_]:
+                    if label[q] < 0:
+                        label[q] = part
+                        stack.append(q)
+        parts[label[root]].append(p)
+    loose: list[list[Arrow]] = [[] for _ in parts]
+    for a, s in zip(complex._loose, sources):
+        if label[s] < 0:
+            raise CFKError(f"loose arrow {a.source}->{a.target} joins no generator")
+        loose[label[s]].append(a)
+    return parts, loose
 
 
 def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:
@@ -337,8 +583,8 @@ def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:
 def to_json_dict(complex: FilteredComplex) -> dict:
     return {
         "generators": [
-            {"name": g.name, "alexander": g.alexander, "maslov": g.maslov}
-            for g in complex.generators
+            {"name": n, "alexander": a, "maslov": m}
+            for n, a, m in zip(complex._names, complex._alexander, complex._maslov)
         ],
         "arrows": [
             {"from": a.source, "to": a.target, "upower": a.upower}
@@ -357,21 +603,35 @@ def _field(record: dict, key: str, kind: type):
     return value
 
 
+def _rows(records, keys: tuple[str, str, str], kinds: tuple[type, type, type]) -> list[tuple]:
+    """Each record's values under keys, checked by _field.
+
+    A record whose values all have their kinds skips the checks, which
+    raise the same error for any other record.
+    """
+    fetch = itemgetter(*keys)
+    rows = []
+    for record in records:
+        try:
+            row = fetch(record)
+        except Exception:
+            row = None
+        if row is None or tuple(map(type, row)) != kinds:
+            row = tuple([_field(record, key, kind) for key, kind in zip(keys, kinds)])
+        rows.append(row)
+    return rows
+
+
 def complex_from_json_dict(data: dict) -> FilteredComplex:
     """Inverse of to_json_dict; names must be strings and gradings integers."""
     try:
-        gens = [
-            Generator(
-                _field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int)
-            )
-            for g in data["generators"]
-        ]
-        arrows = [
-            Arrow(_field(a, "from", str), _field(a, "to", str), _field(a, "upower", int))
-            for a in data["arrows"]
-        ]
+        gens = _rows(data["generators"], ("name", "alexander", "maslov"), (str, int, int))
+        arrows = _rows(data["arrows"], ("from", "to", "upower"), (str, str, int))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
-    if len(arrows) != len(set(arrows)):
+    names, alexander, maslov = zip(*gens) if gens else ((), (), ())
+    index = _index_of(names)
+    triples, loose = _positions(index, arrows)
+    if len(arrows) != len(triples) + len(loose):
         raise ValueError("malformed complex document: duplicate arrows")
-    return FilteredComplex(gens, arrows)
+    return FilteredComplex._build(names, alexander, maslov, triples, loose, index)

@@ -15,9 +15,10 @@ slice keeps those its rule admits.  The i = 0 column admits k = 0, the
 quotient by the all-negative subcomplex k <= max(0, alexander).  So every
 slice is finite and no truncation is ever needed.  Since an orbit gives at
 most one translate per level, a slice numbers its translates by generator
-name: each level's bits come from one walk of the generators, and all its
-boundary masks from one pass over the arrows, an arrow (s, t, u) sending
-U^k s to U^(k+u) t.
+position: each level's bits come from one walk of the generators, and all
+its boundary masks from one pass over the arrow triples, an arrow (s, t, u)
+sending U^k s to U^(k+u) t.  Names are read for level 0 of the column, kept
+in name order, for the acyclicity walk and for what is reported.
 
 The d1 search is one GF(2) reduction, by three facts about probe n ("is
 U^(n+1) xi a boundary in the quotient at level -2(n+1)?").  The probes share
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import gf2
 from .errors import CFKError, NotAKnotComplex
@@ -60,39 +60,47 @@ class AcyclicityReport:
         return self.verdict == "certified-acyclic"
 
 
-def _column(complex: FilteredComplex) -> dict[int, tuple[list[str], list[int]]]:
-    """The i = 0 column: each Maslov level's generator names in bit order, and
-    each one's differential as a mask over the level below.
+def _column(complex: FilteredComplex) -> dict[int, tuple[list[int], list[int]]]:
+    """The i = 0 column: each Maslov level's generator positions in bit order,
+    and each one's differential as a mask over the level below.
 
     Level 0 is in name order, since hat_generator's coset minimum depends on
-    its bit order; the other levels keep the complex's order.  Only arrows
-    with upower 0 between adjacent levels stay in the column.
+    its bit order; the other levels keep the complex's order.  Only arrows with upower 0 between
+    adjacent levels stay in the column.
     """
-    levels: dict[int, list[str]] = {}
-    for g in complex.generators:
-        levels.setdefault(g.maslov, []).append(g.name)
+    maslov = complex._maslov
+    levels: dict[int, list[int]] = {}
+    for p, m in enumerate(maslov):
+        levels.setdefault(m, []).append(p)
     if 0 in levels:
-        levels[0].sort()
-    place = {name: (m, bit) for m, names in levels.items() for bit, name in enumerate(names)}
-    column = {m: (names, [0] * len(names)) for m, names in levels.items()}
-    for source, target, upower in complex.arrows:
-        if upower == 0 and source in place and target in place:
-            m, bit = place[source]
-            level, target_bit = place[target]
-            if level == m - 1:
-                column[m][1][bit] ^= 1 << target_bit
+        levels[0].sort(key=complex._names.__getitem__)
+    bit = [0] * len(maslov)
+    for members in levels.values():
+        for b, p in enumerate(members):
+            bit[p] = b
+    column = {m: (members, [0] * len(members)) for m, members in levels.items()}
+    for source, target, upower in complex._arrows:
+        if upower == 0 and maslov[target] == maslov[source] - 1:
+            column[maslov[source]][1][bit[source]] ^= 1 << bit[target]
     return column
 
 
-def _ranks(column: dict[int, tuple[list[str], list[int]]]) -> dict[int, int]:
+def _ranks(column: dict[int, tuple[list[int], list[int]]]) -> dict[int, int]:
     """Each level's size less the ranks of the boundary out of it and into it."""
     boundary_rank = {m: gf2.rank_masks(masks) for m, (_, masks) in column.items()}
     ranks = {}
-    for m, (names, _) in column.items():
-        h = len(names) - boundary_rank[m] - boundary_rank.get(m + 1, 0)
+    for m, (members, _) in column.items():
+        h = len(members) - boundary_rank[m] - boundary_rank.get(m + 1, 0)
         if h:
             ranks[m] = h
     return ranks
+
+
+def _refuse_loose(complex: FilteredComplex) -> None:
+    """Raise CFKError naming the least arrow with an end that names no generator."""
+    if complex._loose:
+        a = min(complex._loose)
+        raise CFKError(f"arrow {a.source}->{a.target} has a loose end")
 
 
 def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
@@ -106,34 +114,39 @@ def hfk_hat_ranks(complex: FilteredComplex) -> dict[tuple[int, int], int]:
     Reduced: no arrow keeps both filtrations (upower 0 between equal
     Alexander gradings), so the associated graded differential is zero and
     each bigrading's rank is its generator count.  Any other complex raises
-    CFKError naming its least such arrow.
+    CFKError naming its least such arrow, and so does one with a loose end.
     """
-    alexander = {g.name: g.alexander for g in complex.generators}
-    kept = [
-        a for a in complex.arrows if a.upower == 0 and alexander[a.source] == alexander[a.target]
-    ]
+    _refuse_loose(complex)
+    alexander = complex._alexander
+    kept = [a for a in complex._arrows if a[2] == 0 and alexander[a[0]] == alexander[a[1]]]
     if kept:
-        a = min(kept)
+        names = complex._names
+        s, t, _ = complex._least(kept)
         raise CFKError(
-            f"complex is not reduced: arrow {a.source}->{a.target} keeps both filtrations"
+            f"complex is not reduced: arrow {names[s]}->{names[t]} keeps both filtrations"
         )
-    return dict(Counter((g.alexander, g.maslov) for g in complex.generators))
+    return dict(Counter(zip(alexander, complex._maslov)))
 
 
-def hat_generator(complex: FilteredComplex) -> Cycle:
-    """Canonical cycle generating the column homology at grading zero."""
+def _hat_cycle(complex: FilteredComplex) -> list[int]:
+    """Positions of the canonical grading-zero cycle's terms, in name order."""
     column = _column(complex)
     ranks = _ranks(column)
     if ranks != {0: 1}:
         raise NotAKnotComplex(f"column homology ranks are {ranks}, expected one class at grading 0")
-    names, masks = column[0]
+    members, masks = column[0]
     kernel = gf2.kernel_masks(masks)
     boundaries = column[1][1] if 1 in column else []
     for rep in gf2.coset_minima(kernel, boundaries):
         if rep:
-            terms = tuple((name, 0) for bit, name in enumerate(names) if (rep >> bit) & 1)
-            return Cycle(terms=terms, maslov=0)
+            return [p for bit, p in enumerate(members) if (rep >> bit) & 1]
     raise NotAKnotComplex("no surviving cycle at grading 0")
+
+
+def hat_generator(complex: FilteredComplex) -> Cycle:
+    """Canonical cycle generating the column homology at grading zero."""
+    names = complex._names
+    return Cycle(terms=tuple((names[p], 0) for p in _hat_cycle(complex)), maslov=0)
 
 
 def d1_general(complex: FilteredComplex) -> int:
@@ -143,34 +156,34 @@ def d1_general(complex: FilteredComplex) -> int:
     how many more U-powers it stays in the quotient.  A zero coset minimum
     means n = 0; otherwise n is the first probe its leading row has left.
     """
-    xi = hat_generator(complex)
-    # U^k g with k = (maslov + 2) // 2 sits at level -2 (a row) or -1 (a column)
-    ranked: list[tuple[int, str, int]] = []  # (stays, name, k) of each row
-    columns: dict[str, tuple[int, int]] = {}  # name -> (k, bit)
-    for g in complex.generators:
-        k, odd = divmod(g.maslov + 2, 2)
-        reach = max(0, g.alexander)
-        if k <= reach:
-            if odd:
-                columns[g.name] = (k, len(columns))
-            else:
-                ranked.append((reach - k, g.name, k))
-    ranked.sort(key=itemgetter(0))
-    rows = {name: (k, bit) for bit, (_, name, k) in enumerate(ranked)}
+    xi = _hat_cycle(complex)  # each term is U^0 g
+    maslov = complex._maslov
+    # U^k g with k = (maslov + 2) // 2 sits at level -2 (a row) or -1 (a
+    # column), and stays in the quotient for max(0, alexander) - k more powers
+    power = [(m + 2) >> 1 for m in maslov]
+    stays = [(a if a > 0 else 0) - k for a, k in zip(complex._alexander, power)]
+    kept = [p for p, left in enumerate(stays) if left >= 0]
+    columns = [p for p in kept if maslov[p] & 1]
+    rows = sorted([p for p in kept if not maslov[p] & 1], key=stays.__getitem__)
+    column_bit = [-1] * len(maslov)
+    for bit, p in enumerate(columns):
+        column_bit[p] = bit
+    row_bit = [-1] * len(maslov)
+    for bit, p in enumerate(rows):
+        row_bit[p] = bit
     target = 0
-    for name, k in xi.terms:
-        row = rows.get(name)
-        if row is not None and row[0] == k + 1:
-            target |= 1 << row[1]
+    for p in xi:
+        if row_bit[p] >= 0 and power[p] == 1:
+            target |= 1 << row_bit[p]
     masks = [0] * len(columns)
-    for source, head, upower in complex.arrows:
-        if source in columns and head in rows:
-            k, bit = columns[source]
-            row_k, row_bit = rows[head]
-            if row_k == k + upower:
-                masks[bit] ^= 1 << row_bit
+    for source, head, upower in complex._arrows:
+        column = column_bit[source]
+        if column >= 0:
+            row = row_bit[head]
+            if row >= 0 and power[head] == power[source] + upower:
+                masks[column] ^= 1 << row
     (r,) = gf2.coset_minima([target], masks)
-    return -2 * (1 + ranked[r.bit_length() - 1][0]) if r else 0
+    return -2 * (1 + stays[rows[r.bit_length() - 1]]) if r else 0
 
 
 def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
@@ -179,24 +192,33 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     Defined on Maslov-graded complexes, where the gradings pin each entry of
     the differential to one monomial, a unit: an entry is just a target in a
     set.  A complex with an arrow off the Maslov rule is indeterminate, every
-    generator a survivor.  One walk in name order cancels each generator g
-    that still has arrows against its least target h, and every z -> h gains
-    g's targets (the zig-zag rule).  That rewrites only generators with an
-    arrow into h, all after g, so one passed over without arrows gains none.
-    Fully cancelled: acyclic.  Otherwise nonacyclic, survivors are the
-    witness classes.
-    """
-    maslov = {g.name: g.maslov for g in complex.generators}
-    if any(maslov[t] - 2 * u != maslov[s] - 1 for s, t, u in complex.arrows):
-        return AcyclicityReport("indeterminate", 0, tuple(sorted(maslov)))
-    out: dict[str, set[str]] = {name: set() for name in sorted(maslov)}
-    into: dict[str, set[str]] = {name: set() for name in maslov}
-    for source, target, _ in complex.arrows:
-        out[source].add(target)
-        into[target].add(source)
+    generator a survivor; one with a loose end raises CFKError.  One walk in
+    name order cancels each generator g that still has arrows against its
+    least target h, and every z -> h gains g's targets (the zig-zag rule).
+    That rewrites only generators with an arrow into h, all after g, so one
+    passed over without arrows gains none.  Fully cancelled: acyclic.
+    Otherwise nonacyclic, survivors are the witness classes.
 
-    cancelled: set[str] = set()
-    for g, targets in out.items():
+    The walk numbers the generators by rank in name order, so that the
+    least target is the least number.
+    """
+    _refuse_loose(complex)
+    maslov = complex._maslov
+    index = complex._lookup()
+    order = sorted(index)  # a repeated name stands for its last generator
+    if any(maslov[t] - 2 * u != maslov[s] - 1 for s, t, u in complex._arrows):
+        return AcyclicityReport("indeterminate", 0, tuple(order))
+    rank = [0] * len(maslov)
+    for r, name in enumerate(order):
+        rank[index[name]] = r
+    out: list[set[int]] = [set() for _ in order]
+    into: list[set[int]] = [set() for _ in order]
+    for source, target, _ in complex._arrows:
+        out[rank[source]].add(rank[target])
+        into[rank[target]].add(rank[source])
+
+    cancelled = bytearray(len(order))
+    for g, targets in enumerate(out):
         if not targets:
             continue
         h = min(targets)
@@ -213,10 +235,10 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
             for z in into[dead]:
                 out[z].discard(dead)
             out[dead].clear()
-        cancelled.update((g, h))
+        cancelled[g] = cancelled[h] = 1
 
-    pairs = len(cancelled) // 2
-    survivors = tuple(name for name in out if name not in cancelled)
+    pairs = sum(cancelled) // 2
+    survivors = tuple(name for name, dead in zip(order, cancelled) if not dead)
     if survivors:
         return AcyclicityReport("certified-nonacyclic", pairs, survivors)
     return AcyclicityReport("certified-acyclic", pairs, ())

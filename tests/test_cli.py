@@ -4,6 +4,7 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -19,7 +20,7 @@ from cfktools import (
     tau,
     to_json_dict,
 )
-from cfktools import cli, diagrams
+from cfktools import cli, diagrams, doubles
 from cfktools.cli import main
 
 from .complex_fixtures import single_box
@@ -137,10 +138,32 @@ class TestDouble:
         assert "Error: the double needs m <= 200, got 201\n" in result.output
         assert not (tmp_path / "out.svg").exists()
 
-    def test_square_of_a_double_above_the_cap_is_usage_error(self, runner):
+    def test_square_of_a_double_above_the_cap_is_usage_error(self, runner, monkeypatch):
+        def refuse(m):
+            raise AssertionError("built a double")
+
+        monkeypatch.setattr(cli, "build_double_complex", refuse)
+        monkeypatch.setattr(doubles, "build_double_complex", refuse)
         result = runner.invoke(main, ["double", "11", "--delta2"])
         assert result.exit_code == 2
         assert "Error: the full square needs m <= 10, got 11\n" in result.output
+
+    @pytest.mark.parametrize("flags", [["--verify", "--delta2"], ["--delta2"], ["--verify"]])
+    def test_builds_and_splits_the_double_once(self, runner, monkeypatch, flags):
+        calls = Counter()
+        for name in ("build_double_complex", "verify_splitting"):
+            def counted(*args, _fn=getattr(doubles, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for module in (cli, doubles):
+                monkeypatch.setattr(module, name, counted)
+        result = runner.invoke(main, ["--json", "double", "3", *flags])
+        assert result.exit_code == 0, result.output
+        assert calls == {"build_double_complex": 1, "verify_splitting": 1}
+        payload = json.loads(result.output)
+        assert ("splitting" in payload) == ("--verify" in flags)
+        assert ("delta_double_double" in payload) == ("--delta2" in flags)
 
 
 class TestD1Command:

@@ -88,18 +88,20 @@ def after_each_pair(complex, plan):
     """remove_diagonals' arrows (source, target, upower) after each plan pair.
 
     Each pair's arrows are the previous pair's, the input's at first, with the
-    toggles ``_clear_pair`` returns applied.  Every pair but the last leaves
-    arrows toward earlier subsets that depend on which moves it chose; the last
-    result is the returned complex's.
+    toggles ``_clear_pair`` returns applied, read by name from the input's
+    generator positions.  Every pair but the last leaves arrows toward earlier
+    subsets that depend on which moves it chose; the last result is the
+    returned complex's.
     """
     steps = []
     arrows = {(a.source, a.target, a.upower) for a in complex.arrows}
+    names = complex.names()
     clear_pair = filtered._clear_pair
 
     def record(*args):
         nonlocal arrows
         toggles = clear_pair(*args)
-        arrows = arrows ^ {(a.source, a.target, a.upower) for a in toggles}
+        arrows = arrows ^ {(names[s], names[t], u) for s, t, u in toggles}
         steps.append(arrows)
         return toggles
 
@@ -526,13 +528,18 @@ class TestRemoveDiagonals:
     def test_builds_one_complex(self):
         complex, plan = scrambled_double(4, 7, 16), splitting_plan(4)
         built = []
-        init = FilteredComplex.__init__
+        init, build = FilteredComplex.__init__, FilteredComplex._build.__func__
 
         def counting(self, *args):
             built.append(args)
             init(self, *args)
 
-        with mock.patch.object(FilteredComplex, "__init__", counting):
+        def counting_build(cls, *args):
+            built.append(args)
+            return build(cls, *args)
+
+        with mock.patch.object(FilteredComplex, "__init__", counting), \
+                mock.patch.object(FilteredComplex, "_build", classmethod(counting_build)):
             remove_diagonals(complex, plan)
         assert len(built) <= 1
 

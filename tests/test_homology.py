@@ -99,6 +99,12 @@ class TestHfkHatRanks:
         with pytest.raises(CFKError, match=r"^complex is not reduced: arrow a->b "):
             hfk_hat_ranks(c)
 
+    def test_loose_arrow_is_a_computation_error(self):
+        c = FilteredComplex([Generator("a", 0, 0)], [Arrow("a", "ghost", 0)])
+        assert validate(c).startswith("unknown-generator")
+        with pytest.raises(CFKError, match=r"^arrow a->ghost has a loose end$"):
+            hfk_hat_ranks(c)
+
     def test_names_the_least_unreduced_arrow(self):
         c = FilteredComplex(
             [Generator("b", 1, 0), Generator("c", 1, -1), Generator("a", 1, -1)],
@@ -401,6 +407,14 @@ class TestIsAcyclic:
         assume(target.maslov - 2 * upower != source.maslov - 1)
         bad = complex.with_arrows(complex.arrows | {Arrow(source.name, target.name, upower)})
         assert is_acyclic(bad) == AcyclicityReport("indeterminate", 0, tuple(sorted(complex.names())))
+
+    def test_loose_arrow_is_a_computation_error(self):
+        c = FilteredComplex(
+            [Generator("a", 0, 0)], [Arrow("a", "ghost", 0), Arrow("phantom", "a", 1)]
+        )
+        assert validate(c).startswith("unknown-generator")
+        with pytest.raises(CFKError, match=r"^arrow a->ghost has a loose end$"):
+            is_acyclic(c)
 
     @pytest.mark.parametrize("stair", TORUS_STAIRCASES[:6], ids=str)
     def test_staircases_never_acyclic(self, stair):
