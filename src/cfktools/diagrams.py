@@ -60,11 +60,12 @@ def svg_for_complex(complex: FilteredComplex) -> str:
         g.name: (cols[g.name], g.alexander + cols[g.name])
         for g in complex.generators
     }
-    height = {g.name: g.alexander for g in complex.generators}
     arrows = []
     for a in ordered:
         x0, y0 = dots[a.source]
-        tip = (x0 - a.upower, height[a.target] + x0 - a.upower)
+        x1, y1 = dots[a.target]
+        # the target's translate at column x0 - upower, on its own diagonal
+        tip = (x0 - a.upower, y1 - x1 + x0 - a.upower)
         arrows.append(((x0, y0), tip))
 
     points = list(dots.values()) + [tip for _, tip in arrows]

@@ -26,8 +26,8 @@ from .filtered import (
     Arrow,
     FilteredComplex,
     Generator,
-    from_staircase,
     _components,
+    from_staircase,
     isomorphic_up_to_shift,
     tensor,
 )
@@ -139,10 +139,10 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
         if len(part) == 3:
             comp = complex._subcomplex(part, extra)
             if isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
-                # its two arrows leave no room for a loose one
                 trefoil_index, trefoil = idx, comp
                 drop = set(part)
                 keep = [p for p in range(len(complex)) if p not in drop]
+                # the trefoil's two arrows leave no room for a loose one
                 rest = complex._subcomplex(keep, complex._loose)
                 break
     rest_verdict = is_acyclic(rest).verdict

@@ -27,10 +27,9 @@ only where they decide what is printed or chosen:
   cycle's coset minimum reads, and the acyclicity walk, which runs in name
   order.
 
-The named views (generators, arrows, generator(name)) are built when first
-read, and a complex built from Generators and Arrows turns names into
-positions when first asked.  Complexes validate refuses keep what they were
-built from: a repeated name stands for its last generator, and an arrow
+The named views (generators, arrows, generator(name)) of a complex built
+from positions are made when first read.  Complexes validate refuses keep
+what they were built from: a repeated name stands for its last generator, and an arrow
 whose end names no generator is loose, kept by name beside the triples.
 """
 
@@ -39,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import gf2
@@ -75,22 +73,23 @@ class FilteredComplex:
     """
 
     __slots__ = (
-        "_names", "_alexander", "_maslov", "_triples", "_loose_arrows",
+        "_names", "_alexander", "_maslov", "_arrows", "_loose",
         "_generators", "_arrow_view", "_index", "_adjacency",
     )
 
     def __init__(self, generators, arrows):
         gens = tuple(generators)
         names, alexander, maslov = zip(*gens) if gens else ((), (), ())
-        _fill(self, names, alexander, maslov, None, None, gens, frozenset(arrows), None)
+        view = frozenset(arrows)
+        index = _index_of(names)
+        _fill(self, names, alexander, maslov, *_positions(index, view), gens, view, index)
 
     @classmethod
     def _build(cls, names, alexander, maslov, arrows, loose=frozenset(), index=None,
-               generators=None, view=None):
-        """A complex from its positional fields; arrows is a frozenset of
-        triples, or None to resolve the named view when first needed."""
+               generators=None):
+        """A complex from its positional fields; arrows is a frozenset of triples."""
         complex = object.__new__(cls)
-        _fill(complex, names, alexander, maslov, arrows, loose, generators, view, index)
+        _fill(complex, names, alexander, maslov, arrows, loose, generators, None, index)
         return complex
 
     def _with(self, arrows, loose=None) -> "FilteredComplex":
@@ -114,26 +113,9 @@ class FilteredComplex:
     def arrows(self) -> frozenset[Arrow]:
         if self._arrow_view is None:
             names = self._names
-            view = frozenset([Arrow(names[s], names[t], u) for s, t, u in self._triples])
-            _set(self, "_arrow_view", view | self._loose_arrows)
+            view = frozenset([Arrow(names[s], names[t], u) for s, t, u in self._arrows])
+            _set(self, "_arrow_view", view | self._loose)
         return self._arrow_view
-
-    @property
-    def _arrows(self) -> frozenset[tuple[int, int, int]]:
-        if self._triples is None:
-            self._resolve()
-        return self._triples
-
-    @property
-    def _loose(self) -> frozenset[Arrow]:
-        if self._loose_arrows is None:
-            self._resolve()
-        return self._loose_arrows
-
-    def _resolve(self) -> None:
-        triples, loose = _positions(self._lookup(), self._arrow_view)
-        _set(self, "_triples", triples)
-        _set(self, "_loose_arrows", loose)
 
     def _lookup(self) -> dict[str, int]:
         """Each name's position, the last one for a repeated name."""
@@ -141,12 +123,12 @@ class FilteredComplex:
             _set(self, "_index", _index_of(self._names))
         return self._index
 
-    def _neighbours(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    def _neighbours(self) -> tuple[list[list[tuple[int, int]]], ...]:
         """(out, into): for each position, the (target, upower) of the arrows
         out of it and the (source, upower) of the arrows into it."""
         if self._adjacency is None:
-            out: list[list[tuple[int, int]]] = [[] for _ in self._names]
-            into: list[list[tuple[int, int]]] = [[] for _ in self._names]
+            out = [[] for _ in self._names]
+            into = [[] for _ in self._names]
             for s, t, u in self._arrows:
                 out[s].append((t, u))
                 into[t].append((s, u))
@@ -158,7 +140,7 @@ class FilteredComplex:
         names = self._names
         return min(triples, key=lambda a: (names[a[0]], names[a[1]], a[2]))
 
-    def _subcomplex(self, keep: list[int], loose=()) -> "FilteredComplex":
+    def _subcomplex(self, keep: list[int], loose) -> "FilteredComplex":
         """The generators at positions keep, in that order, with their arrows
         and the given loose arrows.  No arrow may join keep to the rest, and
         keep must hold every position of each name it holds."""
@@ -183,10 +165,10 @@ class FilteredComplex:
         return list(self._names)
 
     def with_arrows(self, arrows) -> "FilteredComplex":
-        return FilteredComplex._build(
-            self._names, self._alexander, self._maslov, None, None, self._index,
-            self._generators, frozenset(arrows),
-        )
+        view = frozenset(arrows)
+        complex = self._with(*_positions(self._lookup(), view))
+        _set(complex, "_arrow_view", view)
+        return complex
 
     def _key(self) -> tuple:
         return (self._names, self._alexander, self._maslov, self._arrows, self._loose)
@@ -207,12 +189,12 @@ class FilteredComplex:
 _set = object.__setattr__
 
 
-def _fill(complex, names, alexander, maslov, triples, loose, generators, view, index) -> None:
+def _fill(complex, names, alexander, maslov, arrows, loose, generators, view, index) -> None:
     _set(complex, "_names", names)
     _set(complex, "_alexander", alexander)
     _set(complex, "_maslov", maslov)
-    _set(complex, "_triples", triples)
-    _set(complex, "_loose_arrows", loose)
+    _set(complex, "_arrows", arrows)
+    _set(complex, "_loose", loose)
     _set(complex, "_generators", generators)
     _set(complex, "_arrow_view", view)
     _set(complex, "_index", index)
@@ -313,33 +295,27 @@ def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
     names = tuple([f"{a}*{b}" for a in c1._names for b in c2._names])
     alexander = tuple([a + b for a in c1._alexander for b in c2._alexander])
     maslov = tuple([a + b for a in c1._maslov for b in c2._maslov])
+    if not (_plain(c1) and _plain(c2)):
+        # product names may repeat, or arrows dangle: pair the arrows by name
+        product = FilteredComplex._build(names, alexander, maslov, frozenset())
+        return product.with_arrows(
+            [Arrow(f"{a.source}*{h}", f"{a.target}*{h}", a.upower)
+             for a in c1.arrows for h in c2._names]
+            + [Arrow(f"{g}*{a.source}", f"{g}*{a.target}", a.upower)
+               for g in c1._names for a in c2.arrows]
+        )
     arrows = [(s * n2 + h, t * n2 + h, u) for s, t, u in c1._arrows for h in range(n2)]
     arrows += [(g + s, g + t, u) for g in range(0, len(names), n2 or 1) for s, t, u in c2._arrows]
-    product = FilteredComplex._build(names, alexander, maslov, frozenset(arrows))
-    if _plain(c1) and _plain(c2) and not (c1._loose or c2._loose):
-        return product
-    # names may repeat or arrows dangle: resolve every arrow by its name
-    named = {Arrow(names[s], names[t], u) for s, t, u in arrows}
-    named.update(
-        Arrow(f"{a.source}*{h}", f"{a.target}*{h}", a.upower) for a in c1._loose for h in c2._names
-    )
-    named.update(
-        Arrow(f"{g}*{a.source}", f"{g}*{a.target}", a.upower) for g in c1._names for a in c2._loose
-    )
-    return product.with_arrows(named)
+    return FilteredComplex._build(names, alexander, maslov, frozenset(arrows))
 
 
 def _plain(complex: FilteredComplex) -> bool:
-    """Do the names differ and hold no '*', so that product names differ too?"""
-    return len(complex._lookup()) == len(complex) and not any("*" in n for n in complex._names)
-
-
-def _ends(complex: FilteredComplex, move: BasisChange) -> tuple[int, int]:
-    """Positions of the move's x and y; raises unless they name two generators."""
-    index = complex._lookup()
-    if move.x == move.y or move.x not in index or move.y not in index:
-        raise IllegalBasisChange(f"bad basis change {move.x} into {move.y}")
-    return index[move.x], index[move.y]
+    """No loose arrow, and names that differ and hold no '*', so that the
+    names of a product with another such complex differ too."""
+    names = complex._names
+    return not complex._loose and len(complex._lookup()) == len(names) and not any(
+        "*" in name for name in names
+    )
 
 
 def _shift(complex: FilteredComplex, x: int, y: int) -> int:
@@ -357,16 +333,18 @@ def _shift(complex: FilteredComplex, x: int, y: int) -> int:
 
 def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
     """U-power of the move y' = y + U^shift x; raises if it is illegal."""
-    return _shift(complex, *_ends(complex, move))
+    index = complex._lookup()
+    if move.x == move.y or move.x not in index or move.y not in index:
+        raise IllegalBasisChange(f"bad basis change {move.x} into {move.y}")
+    return _shift(complex, index[move.x], index[move.y])
 
 
-def _toggles(complex: FilteredComplex, x: int, y: int) -> set[tuple[int, int, int]]:
-    """Arrow triples that y' = y + U^shift x adds or cancels; raises if illegal.
+def _toggles(complex: FilteredComplex, x: int, y: int, shift: int) -> set[tuple[int, int, int]]:
+    """Arrow triples that y' = y + U^shift x adds or cancels.
 
     Arrows into y gain a copy landing on x; arrows out of x gain a copy
     leaving y.
     """
-    shift = _shift(complex, x, y)
     out, into = complex._neighbours()
     toggles = {(s, x, u + shift) for s, u in into[y]}
     toggles ^= {(y, t, u + shift) for t, u in out[x]}
@@ -375,11 +353,11 @@ def _toggles(complex: FilteredComplex, x: int, y: int) -> set[tuple[int, int, in
 
 def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex:
     """Apply y' = y + U^shift x; coinciding arrows cancel mod 2."""
-    x, y = _ends(complex, move)
-    arrows = complex._arrows ^ _toggles(complex, x, y)
+    shift = _shift_of(complex, move)
+    index = complex._lookup()
+    arrows = complex._arrows ^ _toggles(complex, index[move.x], index[move.y], shift)
     loose = complex._loose
     if loose:  # their copies dangle too
-        shift = _shift(complex, x, y)
         loose = loose.symmetric_difference(
             [Arrow(a.source, move.x, a.upower + shift) for a in loose if a.target == move.y]
         ).symmetric_difference(
@@ -466,7 +444,7 @@ def _clear_pair(
     for y in members[hi]:
         for x in members[lo]:
             try:
-                toggles = _toggles(complex, x, y)
+                toggles = _toggles(complex, x, y, _shift(complex, x, y))
             except IllegalBasisChange:
                 continue
             # the input's arrows into y from later subsets are cleared by now
@@ -504,55 +482,37 @@ def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
 def _components(complex: FilteredComplex) -> tuple[list[list[int]], list[list[Arrow]]]:
     """Each component's positions and loose arrows, in first-generator order.
 
-    The generators of one name share a component, and loose arrows join
-    their ends through a node for each missing name.
+    The generators of one name share a component, and a loose arrow joins
+    its ends through a node for each missing name.
     """
-    names = complex._names
     index = complex._lookup()
     out, into = complex._neighbours()
-    sources = []
-    if complex._loose:  # loose arrows join their ends, each missing name a node
-        out, into = [list(o) for o in out], [list(i) for i in into]
-        ghosts: dict[str, int] = {}
-
-        def node(name: str) -> int:
-            if name in index:
-                return index[name]
-            if name not in ghosts:
-                ghosts[name] = len(out)
-                out.append([])
-                into.append([])
-            return ghosts[name]
-
-        for a in complex._loose:
-            s, t = node(a.source), node(a.target)
-            out[s].append((t, a.upower))
-            into[t].append((s, a.upower))
-            sources.append(s)
-    label = [-1] * len(out)
+    links: dict[int | str, list[int | str]] = {}
+    for a in complex._loose:
+        s, t = index.get(a.source, a.source), index.get(a.target, a.target)
+        links.setdefault(s, []).append(t)
+        links.setdefault(t, []).append(s)
+    label: dict[int | str, int] = {}
     parts: list[list[int]] = []
-    for p, name in enumerate(names):
+    for p, name in enumerate(complex._names):
         root = index[name]
-        if label[root] < 0:
-            part = label[root] = len(parts)
+        if root not in label:
+            label[root] = len(parts)
             parts.append([])
             stack = [root]
             while stack:
-                node_ = stack.pop()
-                for q, _ in out[node_]:
-                    if label[q] < 0:
-                        label[q] = part
-                        stack.append(q)
-                for q, _ in into[node_]:
-                    if label[q] < 0:
-                        label[q] = part
+                node = stack.pop()
+                ends = links.get(node, [])
+                if type(node) is int:
+                    ends = [q for q, _ in out[node]] + [q for q, _ in into[node]] + ends
+                for q in ends:
+                    if q not in label:
+                        label[q] = label[root]
                         stack.append(q)
         parts[label[root]].append(p)
     loose: list[list[Arrow]] = [[] for _ in parts]
-    for a, s in zip(complex._loose, sources):
-        if label[s] < 0:
-            raise CFKError(f"loose arrow {a.source}->{a.target} joins no generator")
-        loose[label[s]].append(a)
+    for a in complex._loose:
+        loose[label[index.get(a.source, a.source)]].append(a)
     return parts, loose
 
 
@@ -603,30 +563,17 @@ def _field(record: dict, key: str, kind: type):
     return value
 
 
-def _rows(records, keys: tuple[str, str, str], kinds: tuple[type, type, type]) -> list[tuple]:
-    """Each record's values under keys, checked by _field.
-
-    A record whose values all have their kinds skips the checks, which
-    raise the same error for any other record.
-    """
-    fetch = itemgetter(*keys)
-    rows = []
-    for record in records:
-        try:
-            row = fetch(record)
-        except Exception:
-            row = None
-        if row is None or tuple(map(type, row)) != kinds:
-            row = tuple([_field(record, key, kind) for key, kind in zip(keys, kinds)])
-        rows.append(row)
-    return rows
-
-
 def complex_from_json_dict(data: dict) -> FilteredComplex:
     """Inverse of to_json_dict; names must be strings and gradings integers."""
     try:
-        gens = _rows(data["generators"], ("name", "alexander", "maslov"), (str, int, int))
-        arrows = _rows(data["arrows"], ("from", "to", "upower"), (str, str, int))
+        gens = [
+            (_field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int))
+            for g in data["generators"]
+        ]
+        arrows = [
+            (_field(a, "from", str), _field(a, "to", str), _field(a, "upower", int))
+            for a in data["arrows"]
+        ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
     names, alexander, maslov = zip(*gens) if gens else ((), (), ())

@@ -65,8 +65,8 @@ def _column(complex: FilteredComplex) -> dict[int, tuple[list[int], list[int]]]:
     and each one's differential as a mask over the level below.
 
     Level 0 is in name order, since hat_generator's coset minimum depends on
-    its bit order; the other levels keep the complex's order.  Only arrows with upower 0 between
-    adjacent levels stay in the column.
+    its bit order; the other levels keep the complex's order.  Only arrows
+    with upower 0 between adjacent levels stay in the column.
     """
     maslov = complex._maslov
     levels: dict[int, list[int]] = {}
