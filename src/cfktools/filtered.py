@@ -29,8 +29,9 @@ only where they decide what is printed or chosen:
 
 The named views (generators, arrows, generator(name)) of a complex built
 from positions are made when first read.  Complexes validate refuses keep
-what they were built from: a repeated name stands for its last generator, and an arrow
-whose end names no generator is loose, kept by name beside the triples.
+what they were built from: a repeated name stands for its last generator,
+and an arrow whose end names no generator is loose, kept by name beside
+the triples.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import gf2
-from .errors import CFKError, IllegalBasisChange, InadmissiblePlan
+from .errors import IllegalBasisChange, InadmissiblePlan
 from .staircase import Staircase, vertices
 
 
