@@ -2,9 +2,11 @@
 
 Vectors are ints; bit i is coordinate i and XOR is addition.  Every routine
 here runs on one elimination core, the pivot table: it maps a leading bit to
-a (vector, combination) pair, where the combination is a mask over the input
-columns that XOR to the vector.  ``reduce`` clears every pivot bit of a
-vector, highest first; ``insert`` reduces a vector and stores what is left.
+a vector and, for the routines that report which input columns they used
+(``solve_masks`` and ``kernel_masks``), to a combination, a mask over the
+input columns that XOR to the vector.  ``reduce`` clears every pivot bit of
+a vector, highest first; ``insert`` reduces a vector and stores what is
+left.  The rank and coset routines track no combination.
 
 The results do not depend on how the table was filled or in which order a
 reduction clears its bits:
@@ -26,39 +28,55 @@ from collections.abc import Iterable, Sequence
 
 
 class PivotTable:
-    """Echelon basis keyed by leading bit, each row with its combination."""
+    """Echelon basis keyed by leading bit; rows inserted with a combination keep it."""
 
-    __slots__ = ("rows", "bits")
+    __slots__ = ("rows", "combos", "bits")
 
     def __init__(self) -> None:
-        self.rows: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, combination)
+        self.rows: dict[int, int] = {}  # leading bit -> vector
+        self.combos: dict[int, int] = {}  # leading bit -> combination, if inserted with one
         self.bits = 0  # mask of the leading bits in rows
 
-    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
-        """Clear every pivot bit of vector; returns (residue, combination)."""
+    def reduce(self, vector: int) -> int:
+        """Clear every pivot bit of vector; returns the residue."""
         rows, bits = self.rows, self.bits
         hits = vector & bits
         while hits:
-            pv, pc = rows[hits.bit_length() - 1]
-            vector ^= pv
-            combo ^= pc
+            vector ^= rows[hits.bit_length() - 1]
+            hits = vector & bits
+        return vector
+
+    def reduce_combo(self, vector: int, combo: int) -> tuple[int, int]:
+        """reduce, adding to combo the combination of each row it adds to vector."""
+        rows, combos, bits = self.rows, self.combos, self.bits
+        hits = vector & bits
+        while hits:
+            lead = hits.bit_length() - 1
+            vector ^= rows[lead]
+            combo ^= combos[lead]
             hits = vector & bits
         return vector, combo
 
-    def insert(self, vector: int, combo: int = 0) -> tuple[int, int]:
-        """Reduce vector and store the residue when it is nonzero."""
-        vector, combo = self.reduce(vector, combo)
+    def insert(self, vector: int, combo: int | None = None) -> tuple[int, int | None]:
+        """Reduce vector, with its combination if given, and store the residue
+        when it is nonzero; returns (residue, combination)."""
+        if combo is None:
+            vector = self.reduce(vector)
+        else:
+            vector, combo = self.reduce_combo(vector, combo)
         if vector:
             lead = vector.bit_length() - 1
-            self.rows[lead] = (vector, combo)
+            self.rows[lead] = vector
+            if combo is not None:
+                self.combos[lead] = combo
             self.bits |= 1 << lead
         return vector, combo
 
 
-def _table(columns: Iterable[int]) -> PivotTable:
+def _table(columns: Iterable[int], combos: bool = False) -> PivotTable:
     table = PivotTable()
     for j, col in enumerate(columns):
-        table.insert(col, 1 << j)
+        table.insert(col, 1 << j if combos else None)
     return table
 
 
@@ -68,7 +86,7 @@ def solve_masks(columns: Sequence[int], target: int) -> int | None:
     Returns the subset as a bitmask over column indices, or None when the
     target lies outside the span.
     """
-    residue, combo = _table(columns).reduce(target)
+    residue, combo = _table(columns, combos=True).reduce_combo(target, 0)
     return combo if residue == 0 else None
 
 
@@ -90,4 +108,4 @@ def kernel_masks(columns: Sequence[int]) -> list[int]:
 def coset_minima(vectors: Iterable[int], basis: Iterable[int]) -> list[int]:
     """Smallest element of v + span(basis), for each v in vectors."""
     table = _table(basis)
-    return [table.reduce(v)[0] for v in vectors]
+    return [table.reduce(v) for v in vectors]
