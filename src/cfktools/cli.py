@@ -1,22 +1,32 @@
-"""Command-line front end.
+"""Command-line front end: the ``cfk`` console script.
 
-Verbs: torus, staircase, double, d1, classify, diagram, table.  The global
---json flag switches every verb to a versioned JSON document (schema key
-"cfk-1"); the default is aligned human-readable text.  Usage errors exit
-with 2, computation errors with 1.
+Verbs: torus, staircase, double, d1, classify {torus,staircase}, diagram
+{torus,staircase,double,complex} and table; every verb takes --help.  The
+global --json flag, given before the verb, switches every verb to a
+versioned JSON document (schema key "cfk-1"); the default is aligned
+human-readable text, and each verb builds only the form it prints.
+
+One stdlib argparse parser tree is built at import.  Each verb is a function
+from the parsed arguments to the text it writes to stdout.  ``main`` parses,
+runs the verb and writes its text.  Usage errors (a malformed command line
+or a parameter out of range) exit 2 and computation errors exit 1, each
+with one ``Error: ...`` line on stderr, after the usage line when the
+command line did not parse; ``main(args, standalone_mode=False)`` raises
+them instead, as UsageError and CFKError.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
 from itertools import chain
-
-import click
 
 from . import diagrams, doubles
 from .doubles import (
@@ -46,6 +56,17 @@ MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates tha
 MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 
 
+class UsageError(Exception):
+    """A malformed command line or an out-of-range parameter: exit 2.
+
+    usage is the usage line of the command that failed to parse, if any.
+    """
+
+    def __init__(self, message: str, usage: str = "") -> None:
+        super().__init__(message)
+        self.usage = usage
+
+
 _PLAIN_INTEGER = re.compile(r"[ \t\n\r\f\v]*([+-]?[0-9]+)[ \t\n\r\f\v]*")
 
 
@@ -59,32 +80,47 @@ def _strict_int(text: str) -> int:
     return int(match.group(1))
 
 
-class _Integer(click.ParamType):
-    """click.INT through _strict_int, failing with click.INT's message."""
+def _integer(name: str):
+    """The argparse type of the integer parameter called name."""
 
-    name = "integer"
-
-    def convert(self, value, param, ctx):
+    def convert(text: str) -> int:
         try:
-            return _strict_int(value)
+            return _strict_int(text)
         except ValueError:
-            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+            raise UsageError(f"Invalid value for '{name}': {text!r} is not a valid integer.") from None
+
+    return convert
 
 
-_INTEGER = _Integer()
+def _file(name: str, exists: bool):
+    """The argparse type of the file parameter called name: never a
+    directory, and an existing file if exists is set."""
+
+    def check(path: str) -> str:
+        try:
+            mode = os.stat(path).st_mode
+        except OSError:
+            if exists:
+                raise UsageError(f"Invalid value for '{name}': File {path!r} does not exist.") from None
+            return path
+        if stat.S_ISDIR(mode):
+            raise UsageError(f"Invalid value for '{name}': File {path!r} is a directory.")
+        return path
+
+    return check
 
 
 def _parse_staircase(text: str) -> Staircase:
     try:
         steps = tuple(_strict_int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"malformed staircase vector {text!r}: expected comma-separated integers"
         )
     try:
         return Staircase(steps)
     except ValueError as exc:
-        raise click.UsageError(f"malformed staircase vector {text!r}: {exc}")
+        raise UsageError(f"malformed staircase vector {text!r}: {exc}")
 
 
 def _torus_alexander(p: int, q: int) -> LaurentPoly:
@@ -110,14 +146,14 @@ def _load_complex(path: str) -> FilteredComplex:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, ValueError) as exc:
-        raise click.ClickException(f"unreadable JSON in {path}: {exc}")
+        raise CFKError(f"unreadable JSON in {path}: {exc}")
     try:
         complex = complex_from_json_dict(data)
     except ValueError as exc:
-        raise click.ClickException(str(exc))
+        raise CFKError(str(exc))
     violation = validate(complex)
     if violation:
-        raise click.ClickException(f"invalid complex: {violation}")
+        raise CFKError(f"invalid complex: {violation}")
     return complex
 
 
@@ -213,12 +249,13 @@ def _leaf_type(items: list):
     return None
 
 
-def _emit(ctx: click.Context, payload: dict, text: str) -> None:
-    if ctx.obj.get("json"):
-        document = {"schema": SCHEMA, **payload}
-        click.echo(_dumps(document))
-    else:
-        click.echo(text)
+
+
+def _emit(args: argparse.Namespace, payload: dict, text) -> str:
+    """The verb's stdout: payload as a JSON document under --json, else text(payload)."""
+    if args.json:
+        return _dumps({"schema": SCHEMA, **payload}) + "\n"
+    return text(payload) + "\n"
 
 
 def _report_text(report: dict) -> str:
@@ -236,61 +273,21 @@ def _report_text(report: dict) -> str:
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-class _Command(click.Command):
-    """Maps package errors to exit codes: bad parameters 2, the rest 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (InvalidParameter, InvalidTorusParameters) as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-        except CFKError as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-class _Group(click.Group):
-    """Every command and subgroup under it is a _Command or a _Group."""
-
-    command_class = _Command
-    group_class = type
-
-
-@click.group(cls=_Group)
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON documents.")
-@click.pass_context
-def main(ctx: click.Context, as_json: bool) -> None:
-    """Invariants of staircase knots and their doubles."""
-    ctx.obj = {"json": as_json}
-
-
-@main.command()
-@click.argument("p", type=_INTEGER)
-@click.argument("q", type=_INTEGER)
-@click.pass_context
-def torus(ctx: click.Context, p: int, q: int) -> None:
+def _torus(args: argparse.Namespace) -> str:
     """Invariant report for the (P, Q) torus knot."""
-    report = _torus_report(p, q)
-    _emit(ctx, report, _report_text(report))
+    return _emit(args, _torus_report(args.p, args.q), _report_text)
 
 
-@main.command()
-@click.argument("steps")
-@click.pass_context
-def staircase(ctx: click.Context, steps: str) -> None:
+def _staircase(args: argparse.Namespace) -> str:
     """Invariant report for the staircase with STEPS like 1,2,2,1."""
-    stair = _parse_staircase(steps)
-    report = _knot_report(str(stair), stair)
-    _emit(ctx, report, _report_text(report))
+    stair = _parse_staircase(args.steps)
+    return _emit(args, _knot_report(str(stair), stair), _report_text)
 
 
-@main.command()
-@click.argument("m", type=_INTEGER)
-@click.option("--verify", is_flag=True, help="Check the trefoil + acyclic splitting.")
-@click.option("--delta2", is_flag=True, help="Compute delta of the second double (both routes).")
-@click.pass_context
-def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
+def _double(args: argparse.Namespace) -> str:
     """Build the double of T(2, 2M+1) and report on it."""
-    if delta2:  # first, so that a size cap rejects M before anything is built
+    m = args.m
+    if args.delta2:  # first, so that a size cap rejects M before anything is built
         doubles._check_route(m, "both")
     complex = build_double_complex(m)
     report: dict = {
@@ -303,6 +300,15 @@ def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
             for (a, mm), r in sorted(hfk_hat_ranks(complex).items(), reverse=True)
         ],
     }
+    split = verify_splitting(complex) if args.verify or args.delta2 else None
+    if args.verify:
+        report["splitting"] = split.to_dict()
+    if args.delta2:
+        report["delta_double_double"] = doubles._routes_agree(complex, split)
+    return _emit(args, report, _double_text)
+
+
+def _double_text(report: dict) -> str:
     lines = [
         f"knot        {report['knot']}",
         f"generators  {report['generators']}",
@@ -312,46 +318,38 @@ def double(ctx: click.Context, m: int, verify: bool, delta2: bool) -> None:
     ]
     for row in report["hfk_ranks"]:
         lines.append(f"            ({row['alexander']},{row['maslov']}) -> {row['rank']}")
-    split = verify_splitting(complex) if verify or delta2 else None
-    if verify:
-        report["splitting"] = split.to_dict()
+    if "splitting" in report:
+        split = report["splitting"]
         lines.append(
-            f"splitting   trefoil={split.trefoil_summand} "
-            f"acyclic_rest={split.acyclic_rest} components={list(split.component_sizes)}"
+            f"splitting   trefoil={split['trefoil_summand']} "
+            f"acyclic_rest={split['acyclic_rest']} components={split['components']}"
         )
-    if delta2:
-        value = doubles._routes_agree(complex, split)
-        report["delta_double_double"] = value
-        lines.append(f"delta(D^2)  {value}")
-    _emit(ctx, report, "\n".join(lines))
+    if "delta_double_double" in report:
+        lines.append(f"delta(D^2)  {report['delta_double_double']}")
+    return "\n".join(lines)
 
 
-@main.command()
-@click.option("--complex", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-def d1(ctx: click.Context, path: str) -> None:
+def _d1(args: argparse.Namespace) -> str:
     """Correction term of +1 surgery for a complex in a JSON file."""
-    complex = _load_complex(path)
-    value = d1_general(complex)
+    complex = _load_complex(args.path)
     report = {
-        "file": path,
+        "file": args.path,
         "generators": len(complex.generators),
         # d1_general raises NotAKnotComplex unless the ranks are exactly these
         "hat_ranks": {"0": 1},
-        "d1": value,
+        "d1": d1_general(complex),
     }
-    _emit(ctx, report, f"d1  {value}")
+    return _emit(args, report, _d1_text)
 
 
-@main.group()
-def classify() -> None:
-    """Distinguishability of a knot's iterated doubles."""
+def _d1_text(report: dict) -> str:
+    return f"d1  {report['d1']}"
 
 
-def _classify(ctx: click.Context, knot: str, stair: Staircase) -> None:
+def _classify(args: argparse.Namespace, knot: str, stair: Staircase) -> str:
     report = classify_iterates(stair).to_dict()
     report["knot"] = knot
-    _emit(ctx, report, _classify_text(report))
+    return _emit(args, report, _classify_text)
 
 
 def _classify_text(report: dict) -> str:
@@ -370,27 +368,15 @@ def _classify_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-@classify.command("torus")
-@click.argument("p", type=_INTEGER)
-@click.argument("q", type=_INTEGER)
-@click.pass_context
-def classify_torus(ctx: click.Context, p: int, q: int) -> None:
+def _classify_torus(args: argparse.Namespace) -> str:
     """Classify the double of the (P, Q) torus knot."""
-    _classify(ctx, f"T({p},{q})", _torus_staircase(p, q))
+    return _classify(args, f"T({args.p},{args.q})", _torus_staircase(args.p, args.q))
 
 
-@classify.command("staircase")
-@click.argument("steps")
-@click.pass_context
-def classify_staircase(ctx: click.Context, steps: str) -> None:
+def _classify_staircase(args: argparse.Namespace) -> str:
     """Classify the double of a staircase knot."""
-    stair = _parse_staircase(steps)
-    _classify(ctx, str(stair), stair)
-
-
-@main.group()
-def diagram() -> None:
-    """Render a grid diagram to an SVG file."""
+    stair = _parse_staircase(args.steps)
+    return _classify(args, str(stair), stair)
 
 
 def _check_square(generators: int) -> None:
@@ -416,56 +402,37 @@ def _staircase_svg(stair: Staircase, square: bool) -> str:
     return _complex_svg(from_staircase(stair), square)
 
 
-def _write_svg(document: str, path: str) -> None:
-    """Write the SVG document to the file at path."""
+def _write_svg(document: str, path: str) -> str:
+    """Write the SVG document to the file at path; returns the line that says so."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
     except OSError as exc:
-        raise click.ClickException(f"cannot write {path}: {exc}")
-    click.echo(f"wrote {path}")
+        raise CFKError(f"cannot write {path}: {exc}")
+    return f"wrote {path}\n"
 
 
-_svg_option = click.option("--svg", "path", required=True, type=click.Path(dir_okay=False))
-_square_option = click.option(
-    "--tensor-square", is_flag=True, help="Draw the complex tensored with itself."
-)
-
-
-@diagram.command("torus")
-@click.argument("p", type=_INTEGER)
-@click.argument("q", type=_INTEGER)
-@_svg_option
-@_square_option
-def diagram_torus(p: int, q: int, path: str, tensor_square: bool) -> None:
+def _diagram_torus(args: argparse.Namespace) -> str:
     """Diagram of the (P, Q) torus knot complex."""
-    _write_svg(_staircase_svg(_torus_staircase(p, q), tensor_square), path)
+    stair = _torus_staircase(args.p, args.q)
+    return _write_svg(_staircase_svg(stair, args.tensor_square), args.path)
 
 
-@diagram.command("staircase")
-@click.argument("steps")
-@_svg_option
-@_square_option
-def diagram_staircase(steps: str, path: str, tensor_square: bool) -> None:
+def _diagram_staircase(args: argparse.Namespace) -> str:
     """Diagram of a staircase complex."""
-    _write_svg(_staircase_svg(_parse_staircase(steps), tensor_square), path)
+    stair = _parse_staircase(args.steps)
+    return _write_svg(_staircase_svg(stair, args.tensor_square), args.path)
 
 
-@diagram.command("double")
-@click.argument("m", type=_INTEGER)
-@_svg_option
-def diagram_double(m: int, path: str) -> None:
+def _diagram_double(args: argparse.Namespace) -> str:
     """Diagram of the double of T(2, 2M+1)."""
-    _write_svg(diagrams.svg_for_complex(build_double_complex(m)), path)
+    return _write_svg(diagrams.svg_for_complex(build_double_complex(args.m)), args.path)
 
 
-@diagram.command("complex")
-@click.argument("source", type=click.Path(exists=True, dir_okay=False))
-@_svg_option
-@_square_option
-def diagram_complex(source: str, path: str, tensor_square: bool) -> None:
+def _diagram_complex(args: argparse.Namespace) -> str:
     """Diagram of a complex loaded from a JSON file."""
-    _write_svg(_complex_svg(_load_complex(source), tensor_square), path)
+    complex = _load_complex(args.source)
+    return _write_svg(_complex_svg(complex, args.tensor_square), args.path)
 
 
 def _family_rows(family: str) -> tuple[list[str], list[dict]]:
@@ -473,13 +440,13 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
     try:
         limit = _strict_int(arg)
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"malformed family {family!r}: expected torus:N or t2:M"
         )
     rows: list[dict] = []
     if kind == "torus":
         if limit > MAX_TORUS_TABLE:
-            raise click.UsageError(f"torus:N takes N <= {MAX_TORUS_TABLE}, got {limit}")
+            raise UsageError(f"torus:N takes N <= {MAX_TORUS_TABLE}, got {limit}")
         for q in range(3, limit + 1):
             for p in range(2, q):
                 if math.gcd(p, q) == 1:
@@ -487,7 +454,7 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
         header = ["knot", "steps", "alexander", "tau", "d1", "delta_whitehead"]
     elif kind == "t2":
         if limit > MAX_T2_TABLE:
-            raise click.UsageError(f"t2:M takes M <= {MAX_T2_TABLE}, got {limit}")
+            raise UsageError(f"t2:M takes M <= {MAX_T2_TABLE}, got {limit}")
         for m in range(1, limit + 1):
             stair = Staircase((1,) * (2 * m))
             report = _knot_report(f"T(2,{2 * m + 1})", stair)
@@ -503,35 +470,22 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
             "delta_double_double",
         ]
     else:
-        raise click.UsageError(f"unknown family kind {kind!r}: expected torus or t2")
+        raise UsageError(f"unknown family kind {kind!r}: expected torus or t2")
     if not rows:
-        raise click.UsageError(f"family {family!r} is empty")
+        raise UsageError(f"family {family!r} is empty")
     return header, rows
 
 
-@main.command()
-@click.option("--family", required=True, help="torus:N (coprime p<q<=N) or t2:M (m=1..M).")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
-)
-@click.pass_context
-def table(ctx: click.Context, family: str, fmt: str) -> None:
+def _table(args: argparse.Namespace) -> str:
     """Batch invariant table for a knot family."""
-    if ctx.obj.get("json"):
-        fmt = "json"
-    header, rows = _family_rows(family)
-    if fmt == "json":
+    header, rows = _family_rows(args.family)
+    if args.json or args.fmt == "json":
         document = {
             "schema": SCHEMA,
-            "family": family,
+            "family": args.family,
             "rows": [{k: row[k] for k in header} for row in rows],
         }
-        click.echo(_dumps(document))
-        return
+        return _dumps(document) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -539,8 +493,132 @@ def table(ctx: click.Context, family: str, fmt: str) -> None:
         writer.writerow(
             [",".join(str(s) for s in row[k]) if k == "steps" else row[k] for k in header]
         )
-    sys.stdout.write(buffer.getvalue())
+    return buffer.getvalue()
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError, with the usage line of the
+    innermost command being parsed, where argparse would print and exit."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except UsageError as exc:  # raised by an argument's type
+            exc.usage = exc.usage or self.format_usage()
+            raise
+
+    def error(self, message: str):
+        raise UsageError(message, self.format_usage())
+
+
+def _commands(parser: _Parser) -> argparse._SubParsersAction:
+    return parser.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(commands: argparse._SubParsersAction, name: str, run=None, doc: str = "") -> _Parser:
+    """Add the command name, which runs run and is described by its docstring or doc."""
+    doc = run.__doc__ if run else doc
+    parser = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+    if run:
+        parser.set_defaults(run=run)
+    return parser
+
+
+def _integers(parser: _Parser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name.lower(), metavar=name, type=_integer(name))
+
+
+def _diagram_command(commands: argparse._SubParsersAction, name: str, run,
+                     square: bool = True) -> _Parser:
+    """Add a diagram command, which takes --svg and, if square is set, --tensor-square."""
+    parser = _command(commands, name, run)
+    parser.add_argument("--svg", dest="path", required=True, type=_file("--svg", exists=False))
+    if square:
+        parser.add_argument("--tensor-square", action="store_true",
+                            help="Draw the complex tensored with itself.")
+    return parser
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="cfk", description="Invariants of staircase knots and their doubles.",
+                     allow_abbrev=False)
+    parser.add_argument("--json", action="store_true", help="Emit JSON documents.")
+    verbs = _commands(parser)
+
+    _integers(_command(verbs, "torus", _torus), "P", "Q")
+    _command(verbs, "staircase", _staircase).add_argument("steps", metavar="STEPS")
+
+    double = _command(verbs, "double", _double)
+    _integers(double, "M")
+    double.add_argument("--verify", action="store_true",
+                        help="Check the trefoil + acyclic splitting.")
+    double.add_argument("--delta2", action="store_true",
+                        help="Compute delta of the second double (both routes).")
+
+    _command(verbs, "d1", _d1).add_argument(
+        "--complex", dest="path", required=True, type=_file("--complex", exists=True))
+
+    classify = _commands(_command(verbs, "classify",
+                                  doc="Distinguishability of a knot's iterated doubles."))
+    _integers(_command(classify, "torus", _classify_torus), "P", "Q")
+    _command(classify, "staircase", _classify_staircase).add_argument("steps", metavar="STEPS")
+
+    diagram = _commands(_command(verbs, "diagram", doc="Render a grid diagram to an SVG file."))
+    _integers(_diagram_command(diagram, "torus", _diagram_torus), "P", "Q")
+    _diagram_command(diagram, "staircase", _diagram_staircase).add_argument(
+        "steps", metavar="STEPS")
+    _integers(_diagram_command(diagram, "double", _diagram_double, square=False), "M")
+    _diagram_command(diagram, "complex", _diagram_complex).add_argument(
+        "source", metavar="SOURCE", type=_file("SOURCE", exists=True))
+
+    table = _command(verbs, "table", _table)
+    table.add_argument("--family", required=True,
+                       help="torus:N (coprime p<q<=N) or t2:M (m=1..M).")
+    table.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                       help="Output format.  [default: csv]")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _run(argv: list[str]) -> int:
+    args = _PARSER.parse_args(argv)
+    try:
+        text = args.run(args)
+    except (InvalidParameter, InvalidTorusParameters) as exc:
+        raise UsageError(str(exc)) from exc
+    sys.stdout.write(text)
+    return 0
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> int:
+    """Run the cfk command line args, by default sys.argv[1:].
+
+    Returns 0 once the verb's output is on sys.stdout.  With standalone_mode
+    (the console script), an error prints one ``Error: ...`` line to stderr,
+    after the usage line of a command line that did not parse, and exits
+    with 2 for a usage error or 1 for a computation error.  Without it, the
+    UsageError or CFKError propagates, and --help returns 0 once printed.
+    """
+    argv = sys.argv[1:] if args is None else args
+    if not standalone_mode:
+        try:
+            return _run(argv)
+        except SystemExit as exc:  # argparse's --help
+            if exc.code:
+                raise
+            return 0
+    try:
+        return _run(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{exc.usage}Error: {exc}\n")
+        sys.exit(2)
+    except CFKError as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        sys.exit(1)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,16 +1,21 @@
+import argparse
 import csv
 import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from cfktools import (
+    CFKError,
     Staircase,
     alexander_of_staircase,
     alexander_torus,
@@ -23,7 +28,10 @@ from cfktools import (
 from cfktools import cli, diagrams, doubles
 from cfktools.cli import main
 
+from .cli_runner import CliRunner
 from .complex_fixtures import single_box
+
+ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture
@@ -550,3 +558,107 @@ class TestStrictIntegers:
 def test_unknown_verb_is_usage_error(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
+
+
+class TestFrontEnd:
+    def test_import_loads_no_third_party_module(self):
+        script = (
+            "import sys; before = set(sys.modules); import cfktools.cli; "
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print('click' in sys.modules, sorted(added - sys.stdlib_module_names - {'cfktools'}))"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False []\n"
+
+    def test_parser_is_built_at_import_only(self, runner, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a parser was built during a call")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", built)
+        assert runner.invoke(main, ["--json", "classify", "torus", "3", "4"]).exit_code == 0
+
+    def test_main_without_standalone_mode_returns_or_raises(self, capsys, tmp_path):
+        assert main(["--json", "torus", "3", "4"], standalone_mode=False) in (0, None)
+        assert json.loads(capsys.readouterr().out)["tau"] == 3
+        with pytest.raises(cli.UsageError, match="p,q must be coprime"):
+            main(["torus", "2", "4"], standalone_mode=False)
+        with pytest.raises(cli.UsageError, match="unrecognized arguments: 5"):
+            main(["torus", "3", "4", "5"], standalone_mode=False)
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(to_json_dict(single_box())))
+        with pytest.raises(CFKError, match="column homology"):
+            main(["d1", "--complex", str(path)], standalone_mode=False)
+        assert main(["torus", "--help"], standalone_mode=False) == 0
+        assert "Invariant report for the (P, Q) torus knot." in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            ([], "Emit JSON documents."),
+            (["torus"], "Invariant report for the (P, Q) torus knot."),
+            (["staircase"], "Invariant report for the staircase with STEPS like 1,2,2,1."),
+            (["double"], "Check the trefoil + acyclic splitting."),
+            (["d1"], "Correction term of +1 surgery for a complex in a JSON file."),
+            (["classify"], "Distinguishability of a knot's iterated doubles."),
+            (["classify", "torus"], "Classify the double of the (P, Q) torus knot."),
+            (["classify", "staircase"], "Classify the double of a staircase knot."),
+            (["diagram"], "Render a grid diagram to an SVG file."),
+            (["diagram", "torus"], "Draw the complex tensored with itself."),
+            (["diagram", "staircase"], "Diagram of a staircase complex."),
+            (["diagram", "double"], "Diagram of the double of T(2, 2M+1)."),
+            (["diagram", "complex"], "Diagram of a complex loaded from a JSON file."),
+            (["table"], "torus:N (coprime p<q<=N) or t2:M (m=1..M)."),
+        ],
+    )
+    def test_help_exits_0(self, runner, args, text):
+        result = runner.invoke(main, [*args, "--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"usage: {' '.join(['cfk', *args])} ")
+        assert text in " ".join(result.stdout.split())
+        assert result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--fam", "torus:3"],
+            ["torus", "3", "4", "5"],
+            ["torus", "2", "3", "--json"],
+            ["table", "--family", "torus:5", "--format", "xml"],
+            ["d1", "--complex", "missing.json"],
+            ["torus", "3", "-4"],
+            ["classify"],
+            ["diagram"],
+            [],
+        ],
+    )
+    def test_malformed_command_line_exits_2(self, runner, args, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.count("Error: ") == 1 and result.stderr.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "args, calls",
+        [
+            (["--json", "torus", "3", "4"], {}),
+            (["--json", "staircase", "1,2,2,1"], {}),
+            (["--json", "classify", "torus", "2", "5"], {}),
+            (["--json", "classify", "staircase", "1,1"], {}),
+            (["torus", "3", "4"], {"_report_text": 1}),
+            (["classify", "torus", "2", "5"], {"_classify_text": 1}),
+        ],
+    )
+    def test_builds_only_the_printed_form(self, runner, monkeypatch, args, calls):
+        counted = Counter()
+        for name in ("_report_text", "_classify_text"):
+            def text(report, _fn=getattr(cli, name), _name=name):
+                counted[_name] += 1
+                return _fn(report)
+
+            monkeypatch.setattr(cli, name, text)
+        assert runner.invoke(main, args).exit_code == 0
+        assert counted == calls

@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from cfktools import Staircase, from_staircase, to_json_dict
 from cfktools.cli import main
+
+from .cli_runner import CliRunner
 
 ROOT = Path(__file__).parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
