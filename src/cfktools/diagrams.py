@@ -3,20 +3,24 @@
 Each generator gets one dot.  Its column is chosen so that arrows connect
 dot to dot whenever the complex allows it: an arrow with upower a forces the
 target's column to sit a cells left of the source's.  Columns are assigned
-per connected component by a breadth-first walk rooted at the component's
-first generator (conflicting constraints, which graded complexes built here
-never produce, fall back to the walk tree).  Fixed cell size, no styling
-knobs.  The grid draws a line per cell, so a diagram may span at most
-MAX_GRID_CELLS cells per axis, padding included; a staircase's span is
-checked from its vertices, before its complex is built.
+per connected component by a breadth-first walk over generator positions,
+rooted at the component's first generator, that takes each generator's
+arrows in the order they are drawn (conflicting constraints, which graded
+complexes built here never produce, fall back to the walk tree).  Names are
+read only to order the arrows (by source name, target name and upower) and
+the dots (by name), and for the dots' titles; a complex whose names repeat,
+or with an arrow whose end names no generator, is refused.  Fixed cell
+size, no styling knobs.  The grid draws a line per cell, so a diagram may
+span at most MAX_GRID_CELLS cells per axis, padding included; a staircase's
+span is checked from its vertices, before its complex is built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import InvalidParameter
-from .filtered import Arrow, FilteredComplex, from_staircase
+from .errors import CFKError, InvalidParameter
+from .filtered import FilteredComplex, _naming_defect, from_staircase
 from .staircase import Staircase, tau
 
 CELL = 40
@@ -25,23 +29,23 @@ PAD_CELLS = 1
 MAX_GRID_CELLS = 10_000  # widest and tallest diagram, in cells
 
 
-def _columns(complex: FilteredComplex, arrows: list[Arrow]) -> dict[str, int]:
-    """Column of each generator, walking neighbours in the order of arrows."""
-    neighbours: dict[str, list[tuple[str, int]]] = {g.name: [] for g in complex.generators}
-    for a in arrows:
-        neighbours[a.source].append((a.target, -a.upower))
-        neighbours[a.target].append((a.source, a.upower))
-    cols: dict[str, int] = {}
-    for g in complex.generators:
-        if g.name in cols:
+def _columns(count: int, arrows: list[tuple[int, int, int]]) -> list[int]:
+    """Column of each of count positions, walking neighbours in the order of arrows."""
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for s, t, u in arrows:
+        neighbours[s].append((t, -u))
+        neighbours[t].append((s, u))
+    cols: list[int | None] = [None] * count
+    for root in range(count):
+        if cols[root] is not None:
             continue
-        cols[g.name] = 0
-        queue = deque([g.name])
+        cols[root] = 0
+        queue = deque([root])
         while queue:
-            name = queue.popleft()
-            for other, offset in neighbours[name]:
-                if other not in cols:
-                    cols[other] = cols[name] + offset
+            p = queue.popleft()
+            for other, offset in neighbours[p]:
+                if cols[other] is None:
+                    cols[other] = cols[p] + offset
                     queue.append(other)
     return cols
 
@@ -54,21 +58,23 @@ def _check_grid(columns: int, rows: int) -> None:
 
 
 def svg_for_complex(complex: FilteredComplex) -> str:
-    ordered = sorted(complex.arrows)
-    cols = _columns(complex, ordered)
-    dots = {
-        g.name: (cols[g.name], g.alexander + cols[g.name])
-        for g in complex.generators
-    }
+    """The complex's diagram; a repeated name or a loose arrow is refused."""
+    defect = _naming_defect(complex)
+    if defect:
+        raise CFKError(defect)
+    names = complex._names
+    ordered = sorted(complex._arrows, key=lambda a: (names[a[0]], names[a[1]], a[2]))
+    cols = _columns(len(names), ordered)
+    dots = [(col, alexander + col) for col, alexander in zip(cols, complex._alexander)]
     arrows = []
-    for a in ordered:
-        x0, y0 = dots[a.source]
-        x1, y1 = dots[a.target]
+    for s, t, u in ordered:
+        x0, y0 = dots[s]
+        x1, y1 = dots[t]
         # the target's translate at column x0 - upower, on its own diagonal
-        tip = (x0 - a.upower, y1 - x1 + x0 - a.upower)
+        tip = (x0 - u, y1 - x1 + x0 - u)
         arrows.append(((x0, y0), tip))
 
-    points = list(dots.values()) + [tip for _, tip in arrows]
+    points = dots + [tip for _, tip in arrows]
     if not points:
         points = [(0, 0)]
     imin = min(p[0] for p in points) - PAD_CELLS
@@ -135,11 +141,11 @@ def svg_for_complex(complex: FilteredComplex) -> str:
             f'x2="{tx - dx / norm * trim:.1f}" y2="{ty - dy / norm * trim:.1f}" '
             f'stroke="black" stroke-width="1.5" marker-end="url(#tip)"/>'
         )
-    for name in sorted(dots):
-        i, j = dots[name]
+    for p in sorted(range(len(names)), key=names.__getitem__):
+        i, j = dots[p]
         lines.append(
             f'<circle class="dot" cx="{cx(i)}" cy="{cy(j)}" r="{DOT_RADIUS}">'
-            f"<title>{name}</title></circle>"
+            f"<title>{names[p]}</title></circle>"
         )
     lines.append("</svg>")
     return "\n".join(lines)

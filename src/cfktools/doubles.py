@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import CFKError, InvalidParameter
 from .filtered import (
-    Arrow,
     FilteredComplex,
-    Generator,
     _components,
     from_staircase,
     isomorphic_up_to_shift,
@@ -48,40 +46,38 @@ def build_double_complex(m: int) -> FilteredComplex:
     _check_m(m)
     if m > MAX_DOUBLE:
         raise InvalidParameter(f"the double needs m <= {MAX_DOUBLE}, got {m}")
-    gens = (
-        [Generator(f"x{k}", 1, 0) for k in range(1, 2 * m + 1)]
-        + [
-            Generator(f"u{p}_{i}", 1, 1 - 2 * p)
-            for p in range(1, m + 1)
-            for i in (1, 2)
-        ]
-        + [Generator(f"y{k}", 0, -1) for k in range(1, 4 * m)]
-        + [
-            Generator(f"v{p}_{i}", 0, -2 * p)
-            for p in range(1, m + 1)
-            for i in (1, 2, 3, 4)
-        ]
-        + [Generator(f"z{k}", -1, -2) for k in range(1, 2 * m + 1)]
-        + [
-            Generator(f"w{p}_{i}", -1, -1 - 2 * p)
-            for p in range(1, m + 1)
-            for i in (1, 2)
-        ]
+    # first positions of the six families, in the order listed above
+    x, u, y, v, z, w = 0, 2 * m, 4 * m, 8 * m - 1, 12 * m - 1, 14 * m - 1
+    boxes = [(p, i) for p in range(1, m + 1) for i in (1, 2)]
+    names = tuple(
+        [f"x{k}" for k in range(1, 2 * m + 1)]
+        + [f"u{p}_{i}" for p, i in boxes]
+        + [f"y{k}" for k in range(1, 4 * m)]
+        + [f"v{p}_{i}" for p in range(1, m + 1) for i in (1, 2, 3, 4)]
+        + [f"z{k}" for k in range(1, 2 * m + 1)]
+        + [f"w{p}_{i}" for p, i in boxes]
     )
+    alexander = (1,) * (4 * m) + (0,) * (8 * m - 1) + (-1,) * (4 * m)
+    maslov = (
+        (0,) * (2 * m)
+        + tuple([1 - 2 * p for p, _ in boxes])
+        + (-1,) * (4 * m - 1)
+        + tuple([-2 * p for p in range(1, m + 1) for _ in range(4)])
+        + (-2,) * (2 * m)
+        + tuple([-1 - 2 * p for p, _ in boxes])
+    )
+    # x_k, y_k and z_k sit at x + k - 1, y + k - 1 and z + k - 1; with
+    # q = 2(p - 1) + i - 1, u_{p,i} and w_{p,i} sit at u + q and w + q, and
+    # v_{p,i} at v + q + 2(p - 1), two places before v_{p,i+2}
     arrows = []
     for k in range(2, 2 * m + 1):
-        arrows.append(Arrow(f"x{k}", f"y{k - 1}", 0))
-        arrows.append(Arrow(f"z{k}", f"y{k - 1}", 1))
+        arrows += [(x + k - 1, y + k - 2, 0), (z + k - 1, y + k - 2, 1)]
     for l in range(1, 2 * m + 1):
-        arrows.append(Arrow(f"y{2 * m + l - 1}", f"z{l}", 0))
-        arrows.append(Arrow(f"y{2 * m + l - 1}", f"x{l}", 1))
-    for p in range(1, m + 1):
-        for i in (1, 2):
-            arrows.append(Arrow(f"u{p}_{i}", f"v{p}_{i}", 0))
-            arrows.append(Arrow(f"v{p}_{i + 2}", f"w{p}_{i}", 0))
-            arrows.append(Arrow(f"v{p}_{i + 2}", f"u{p}_{i}", 1))
-            arrows.append(Arrow(f"w{p}_{i}", f"v{p}_{i}", 1))
-    return FilteredComplex(gens, arrows)
+        arrows += [(y + 2 * m + l - 2, z + l - 1, 0), (y + 2 * m + l - 2, x + l - 1, 1)]
+    for q in range(2 * m):
+        low = v + q + q // 2 * 2
+        arrows += [(u + q, low, 0), (low + 2, w + q, 0), (low + 2, u + q, 1), (w + q, low, 1)]
+    return FilteredComplex._build(names, alexander, maslov, frozenset(arrows))
 
 
 def splitting_plan(m: int) -> list[list[str]]:

@@ -19,8 +19,9 @@ and an arrow is an integer triple (source, target, upower) of positions.
 Every computation here and in homology.py runs on positions; names are read
 only where they decide what is printed or chosen:
 
-* the order of to_json_dict's arrows, and of the SVG's (diagrams.py reads
-  the named views);
+* the order of to_json_dict's arrows;
+* in diagrams.py, the order of the SVG's arrows and dots, and the dots'
+  titles;
 * the defect validate reports first, the least faulty arrow by name;
 * the candidate moves of remove_diagonals, tried in name order;
 * in homology.py, level 0 of the column, whose bit order the canonical
@@ -223,13 +224,8 @@ def _positions(index: dict[str, int], arrows) -> tuple[frozenset, frozenset]:
     return frozenset(triples), frozenset(loose)
 
 
-def validate(complex: FilteredComplex) -> str | None:
-    """None when every invariant holds, else a report naming the first failure.
-
-    The checks run by position; a report names the least faulty arrow in
-    name order, or the first generator in the complex's order whose d²
-    is not zero.
-    """
+def _naming_defect(complex: FilteredComplex) -> str | None:
+    """validate's report of a repeated name or else of a loose arrow, or None."""
     names = complex._names
     if len(complex._lookup()) != len(names):
         dupes = [n for n, k in Counter(names).items() if k > 1]
@@ -237,7 +233,20 @@ def validate(complex: FilteredComplex) -> str | None:
     if complex._loose:
         a = min(complex._loose)
         return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
-    alexander, maslov = complex._alexander, complex._maslov
+    return None
+
+
+def validate(complex: FilteredComplex) -> str | None:
+    """None when every invariant holds, else a report naming the first failure.
+
+    The checks run by position; a report names the least faulty arrow in
+    name order, or the first generator in the complex's order whose d²
+    is not zero.
+    """
+    naming = _naming_defect(complex)
+    if naming:
+        return naming
+    names, alexander, maslov = complex._names, complex._alexander, complex._maslov
     faulty = [
         (s, t, u) for s, t, u in complex._arrows
         if maslov[t] - 2 * u != maslov[s] - 1 or u < 0 or alexander[t] - u > alexander[s]
@@ -319,36 +328,32 @@ def _plain(complex: FilteredComplex) -> bool:
     )
 
 
-def _shift(complex: FilteredComplex, x: int, y: int) -> int:
-    """U-power that makes x's translate share y's grading; raises if illegal."""
-    names, alexander, maslov = complex._names, complex._alexander, complex._maslov
-    if (maslov[x] - maslov[y]) % 2:
-        raise IllegalBasisChange(f"{names[x]} and {names[y]} have different grading parity")
-    shift = (maslov[x] - maslov[y]) // 2
-    if shift < 0 or alexander[x] - shift > alexander[y]:
-        raise IllegalBasisChange(
-            f"U^{shift} {names[x]} does not sit below {names[y]} in the filtration"
-        )
-    return shift
-
-
 def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
     """U-power of the move y' = y + U^shift x; raises if it is illegal."""
     index = complex._lookup()
     if move.x == move.y or move.x not in index or move.y not in index:
         raise IllegalBasisChange(f"bad basis change {move.x} into {move.y}")
-    return _shift(complex, index[move.x], index[move.y])
+    x, y = index[move.x], index[move.y]
+    alexander, maslov = complex._alexander, complex._maslov
+    if (maslov[x] - maslov[y]) % 2:
+        raise IllegalBasisChange(f"{move.x} and {move.y} have different grading parity")
+    shift = (maslov[x] - maslov[y]) // 2
+    if shift < 0 or alexander[x] - shift > alexander[y]:
+        raise IllegalBasisChange(
+            f"U^{shift} {move.x} does not sit below {move.y} in the filtration"
+        )
+    return shift
 
 
-def _toggles(complex: FilteredComplex, x: int, y: int, shift: int) -> set[tuple[int, int, int]]:
+def _toggles(x: int, y: int, shift: int, into_y, out_x) -> set[tuple[int, int, int]]:
     """Arrow triples that y' = y + U^shift x adds or cancels.
 
-    Arrows into y gain a copy landing on x; arrows out of x gain a copy
+    Arrows into y, given as into_y's (source, upower), gain a copy landing on
+    x; arrows out of x, given as out_x's (target, upower), gain a copy
     leaving y.
     """
-    out, into = complex._neighbours()
-    toggles = {(s, x, u + shift) for s, u in into[y]}
-    toggles ^= {(y, t, u + shift) for t, u in out[x]}
+    toggles = {(s, x, u + shift) for s, u in into_y}
+    toggles ^= {(y, t, u + shift) for t, u in out_x}
     return toggles
 
 
@@ -356,7 +361,14 @@ def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex
     """Apply y' = y + U^shift x; coinciding arrows cancel mod 2."""
     shift = _shift_of(complex, move)
     index = complex._lookup()
-    arrows = complex._arrows ^ _toggles(complex, index[move.x], index[move.y], shift)
+    x, y = index[move.x], index[move.y]
+    into_y, out_x = [], []
+    for s, t, u in complex._arrows:
+        if t == y:
+            into_y.append((s, u))
+        if s == x:
+            out_x.append((t, u))
+    arrows = complex._arrows ^ _toggles(x, y, shift, into_y, out_x)
     loose = complex._loose
     if loose:  # their copies dangle too
         loose = loose.symmetric_difference(
@@ -372,7 +384,8 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
 
     The plan must partition the generators, and cross-subset arrows may only
     run from later subsets toward earlier ones.  Subsets hi run back to front,
-    each against the earlier subsets lo nearest first; a GF(2) solve picks the
+    each against the earlier subsets lo its cross arrows reach, nearest first;
+    a pair (hi, lo) without cross arrows is skipped.  A GF(2) solve picks the
     moves y' = y + U^c x (y in hi, x in lo, each in name order) whose toggles
     clear the pair.  Every pair reads the input complex, because a move:
 
@@ -382,6 +395,9 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
       arrows change, and they are kept in one residual set;
     * never toggles an arrow within a subset, so the result is exactly the
       input's within-subset arrows.
+
+    The arrows a pair's moves add run from hi to subsets below lo, so the
+    next pair is the highest subset the residual still reaches.
     """
     position: dict[str, int] = {}
     for idx, subset in enumerate(plan):
@@ -406,14 +422,21 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
 
     index = complex._lookup()
     members = [[index[name] for name in sorted(part)] for part in plan]
-    out = complex._neighbours()[0]
+    # each subset's cross arrows, all toward earlier subsets
+    cross: list[set[tuple[int, int, int]]] = [set() for _ in plan]
+    for a in complex._arrows:
+        if subset[a[0]] != subset[a[1]]:
+            cross[subset[a[0]]].add(a)
     for hi in range(len(plan) - 1, 0, -1):
-        residual = {(g, t, u) for g in members[hi] for t, u in out[g] if subset[t] != hi}
-        for lo in range(hi - 1, -1, -1):
+        residual = cross[hi]
+        below = hi
+        while residual:
+            lo = max([subset[t] for _, t, _ in residual])
+            if lo >= below:
+                survivors = sorted(Arrow(names[s], names[t], u) for s, t, u in residual)
+                raise InadmissiblePlan(f"cross arrows survived elimination: {survivors}")
             residual ^= _clear_pair(complex, residual, members, subset, hi, lo)
-        if residual:
-            survivors = sorted(Arrow(names[s], names[t], u) for s, t, u in residual)
-            raise InadmissiblePlan(f"cross arrows survived elimination: {survivors}")
+            below = lo
     return complex._with(frozenset([a for a in complex._arrows if subset[a[0]] == subset[a[1]]]))
 
 
@@ -437,17 +460,19 @@ def _clear_pair(
     for a in residual:
         if subset[a[1]] == lo:
             target |= 1 << bit.setdefault(a, len(bit))
-    if target == 0:
-        return set()
 
+    alexander, maslov = complex._alexander, complex._maslov
+    out, into = complex._neighbours()
     toggle_sets: list[set[tuple[int, int, int]]] = []
     columns: list[int] = []
     for y in members[hi]:
         for x in members[lo]:
-            try:
-                toggles = _toggles(complex, x, y, _shift(complex, x, y))
-            except IllegalBasisChange:
+            # the move is legal when U^shift x shares y's Maslov grading and
+            # sits no higher in the filtration
+            gap = maslov[x] - maslov[y]
+            if gap < 0 or gap & 1 or alexander[x] - (gap >> 1) > alexander[y]:
                 continue
+            toggles = _toggles(x, y, gap >> 1, into[y], out[x])
             # the input's arrows into y from later subsets are cleared by now
             toggles = {a for a in toggles if subset[a[0]] == hi}
             column = 0

@@ -7,12 +7,14 @@ tensor product over generator names, the O(V^2) pair loop for delta(D(K)) and th
 walk of the step vector, the double's HFK-hat ranks by generator family, a
 move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
-span test per U-power, and the acyclicity certificate by repeated unit-pivot
-search over sets of Laurent exponents.
+span test per U-power, the acyclicity certificate by repeated unit-pivot
+search over sets of Laurent exponents, the double's complex from named
+generators and arrows, and the SVG diagram laid out by generator name.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 
 from cfktools import (
@@ -24,6 +26,7 @@ from cfktools import (
     Vertex,
     hat_generator,
 )
+from cfktools.diagrams import CELL, DOT_RADIUS, PAD_CELLS
 
 
 def brute_semigroup(p: int, q: int, bound: int) -> list[int]:
@@ -212,8 +215,9 @@ def _apply_move(arrows: set, x: str, y: str, shift: int) -> set:
 
 def reference_remove_diagonals(
     complex: FilteredComplex, plan: list[list[str]]
-) -> list[set[tuple[str, str, int]]]:
-    """Arrows (source, target, upower) after clearing each plan pair in turn.
+) -> list[tuple[int, int, set[tuple[str, str, int]]]]:
+    """(hi, lo, arrows (source, target, upower)) after clearing each plan pair
+    that holds cross arrows, in turn.
 
     Pairs run back to front.  A pair's candidate moves are the legal moves x
     into y, x in the earlier subset and y in the later one, y then x in name
@@ -235,8 +239,10 @@ def reference_remove_diagonals(
                 return frozenset((s, t) for s, t, _ in arrow_set if s in his and t in los)
 
             target = cross(arrows)
+            if not target:
+                continue
             span: dict[frozenset, list] = {frozenset(): []}
-            for y in sorted(his) if target else []:
+            for y in sorted(his):
                 for x in sorted(los):
                     shift = _legal_shift(gens, x, y)
                     if shift is None:
@@ -247,7 +253,7 @@ def reference_remove_diagonals(
             assert target in span, f"no moves clear subset {hi} from subset {lo}"
             for x, y, shift in span[target]:
                 arrows = _apply_move(arrows, x, y, shift)
-            after_each_pair.append(arrows)
+            after_each_pair.append((hi, lo, arrows))
     return after_each_pair
 
 
@@ -453,3 +459,156 @@ def reference_is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     if alive:
         return AcyclicityReport("certified-nonacyclic", pairs, tuple(sorted(alive)))
     return AcyclicityReport("certified-acyclic", pairs, ())
+
+
+def reference_double_complex(m: int) -> FilteredComplex:
+    """D(T(2, 2m+1)) built from named Generators and Arrows, family by family."""
+    gens = (
+        [Generator(f"x{k}", 1, 0) for k in range(1, 2 * m + 1)]
+        + [
+            Generator(f"u{p}_{i}", 1, 1 - 2 * p)
+            for p in range(1, m + 1)
+            for i in (1, 2)
+        ]
+        + [Generator(f"y{k}", 0, -1) for k in range(1, 4 * m)]
+        + [
+            Generator(f"v{p}_{i}", 0, -2 * p)
+            for p in range(1, m + 1)
+            for i in (1, 2, 3, 4)
+        ]
+        + [Generator(f"z{k}", -1, -2) for k in range(1, 2 * m + 1)]
+        + [
+            Generator(f"w{p}_{i}", -1, -1 - 2 * p)
+            for p in range(1, m + 1)
+            for i in (1, 2)
+        ]
+    )
+    arrows = []
+    for k in range(2, 2 * m + 1):
+        arrows.append(Arrow(f"x{k}", f"y{k - 1}", 0))
+        arrows.append(Arrow(f"z{k}", f"y{k - 1}", 1))
+    for l in range(1, 2 * m + 1):
+        arrows.append(Arrow(f"y{2 * m + l - 1}", f"z{l}", 0))
+        arrows.append(Arrow(f"y{2 * m + l - 1}", f"x{l}", 1))
+    for p in range(1, m + 1):
+        for i in (1, 2):
+            arrows.append(Arrow(f"u{p}_{i}", f"v{p}_{i}", 0))
+            arrows.append(Arrow(f"v{p}_{i + 2}", f"w{p}_{i}", 0))
+            arrows.append(Arrow(f"v{p}_{i + 2}", f"u{p}_{i}", 1))
+            arrows.append(Arrow(f"w{p}_{i}", f"v{p}_{i}", 1))
+    return FilteredComplex(gens, arrows)
+
+
+def _named_columns(complex: FilteredComplex, arrows: list[Arrow]) -> dict[str, int]:
+    """Column of each generator, walking neighbours in the order of arrows."""
+    neighbours: dict[str, list[tuple[str, int]]] = {g.name: [] for g in complex.generators}
+    for a in arrows:
+        neighbours[a.source].append((a.target, -a.upower))
+        neighbours[a.target].append((a.source, a.upower))
+    cols: dict[str, int] = {}
+    for g in complex.generators:
+        if g.name in cols:
+            continue
+        cols[g.name] = 0
+        queue = deque([g.name])
+        while queue:
+            name = queue.popleft()
+            for other, offset in neighbours[name]:
+                if other not in cols:
+                    cols[other] = cols[name] + offset
+                    queue.append(other)
+    return cols
+
+
+def reference_svg_for_complex(complex: FilteredComplex) -> str:
+    """The diagram with every step keyed by generator name: columns by a
+    breadth-first walk over name-keyed neighbours, dots in a dict by name.
+    The grid cap is not checked."""
+    ordered = sorted(complex.arrows)
+    cols = _named_columns(complex, ordered)
+    dots = {
+        g.name: (cols[g.name], g.alexander + cols[g.name])
+        for g in complex.generators
+    }
+    arrows = []
+    for a in ordered:
+        x0, y0 = dots[a.source]
+        x1, y1 = dots[a.target]
+        # the target's translate at column x0 - upower, on its own diagonal
+        tip = (x0 - a.upower, y1 - x1 + x0 - a.upower)
+        arrows.append(((x0, y0), tip))
+
+    points = list(dots.values()) + [tip for _, tip in arrows]
+    if not points:
+        points = [(0, 0)]
+    imin = min(p[0] for p in points) - PAD_CELLS
+    imax = max(p[0] for p in points) + PAD_CELLS
+    jmin = min(p[1] for p in points) - PAD_CELLS
+    jmax = max(p[1] for p in points) + PAD_CELLS
+    columns, rows = imax - imin + 1, jmax - jmin + 1
+    width = columns * CELL
+    height = rows * CELL
+
+    def cx(i: int) -> float:
+        return (i - imin + 0.5) * CELL
+
+    def cy(j: int) -> float:
+        return (jmax - j + 0.5) * CELL
+
+    def edge_x(i: int) -> float:
+        return (i - imin) * CELL
+
+    def edge_y(j: int) -> float:
+        return (jmax - j + 1) * CELL
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        "<defs>"
+        '<marker id="tip" viewBox="0 0 10 10" refX="9" refY="5" '
+        'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
+        '<path d="M 0 0 L 10 5 L 0 10 z"/></marker>'
+        "</defs>",
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i in range(imin, imax + 2):
+        lines.append(
+            f'<line class="grid" x1="{edge_x(i)}" y1="0" x2="{edge_x(i)}" '
+            f'y2="{height}" stroke="#dddddd" stroke-width="1"/>'
+        )
+    for j in range(jmin - 1, jmax + 1):
+        lines.append(
+            f'<line class="grid" x1="0" y1="{edge_y(j)}" x2="{width}" '
+            f'y2="{edge_y(j)}" stroke="#dddddd" stroke-width="1"/>'
+        )
+    # both walls of the zero row and zero column, like a marked axis pair
+    for i in (0, 1):
+        lines.append(
+            f'<line class="axis" x1="{edge_x(i)}" y1="0" x2="{edge_x(i)}" '
+            f'y2="{height}" stroke="#555555" stroke-width="2"/>'
+        )
+    for j in (-1, 0):
+        lines.append(
+            f'<line class="axis" x1="0" y1="{edge_y(j)}" x2="{width}" '
+            f'y2="{edge_y(j)}" stroke="#555555" stroke-width="2"/>'
+        )
+    for (x0, y0), (x1, y1) in arrows:
+        sx, sy, tx, ty = cx(x0), cy(y0), cx(x1), cy(y1)
+        dx, dy = tx - sx, ty - sy
+        norm = (dx * dx + dy * dy) ** 0.5 or 1.0
+        trim = DOT_RADIUS + 2
+        lines.append(
+            f'<line class="arrow" x1="{sx + dx / norm * trim:.1f}" '
+            f'y1="{sy + dy / norm * trim:.1f}" '
+            f'x2="{tx - dx / norm * trim:.1f}" y2="{ty - dy / norm * trim:.1f}" '
+            f'stroke="black" stroke-width="1.5" marker-end="url(#tip)"/>'
+        )
+    for name in sorted(dots):
+        i, j = dots[name]
+        lines.append(
+            f'<circle class="dot" cx="{cx(i)}" cy="{cy(j)}" r="{DOT_RADIUS}">'
+            f"<title>{name}</title></circle>"
+        )
+    lines.append("</svg>")
+    return "\n".join(lines)

@@ -338,6 +338,21 @@ class TestDiagram:
         assert result.exit_code == 0
         assert self._counts(out) == (3, 2)
 
+    def test_square_whose_names_collide_is_refused(self, runner, tmp_path):
+        """x and x*x are valid names, but (x, x*x) and (x*x, x) are both x*x*x."""
+        source = tmp_path / "c.json"
+        source.write_text(json.dumps({
+            "generators": [{"name": n, "alexander": 0, "maslov": 0} for n in ("x", "x*x")],
+            "arrows": [],
+        }))
+        out = tmp_path / "sq.svg"
+        result = runner.invoke(
+            main, ["diagram", "complex", str(source), "--tensor-square", "--svg", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: duplicate-name: generator names ['x*x*x'] repeat\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,9 +1,24 @@
 import xml.etree.ElementTree as ET
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfktools import Staircase, build_double_complex, from_staircase, tau, tensor
+from cfktools import (
+    Arrow,
+    CFKError,
+    FilteredComplex,
+    Generator,
+    Staircase,
+    build_double_complex,
+    from_staircase,
+    tau,
+    tensor,
+    validate,
+)
 from cfktools.diagrams import svg_for_complex, svg_for_staircase
+
+from .complex_fixtures import scrambled_double
+from .oracles import reference_svg_for_complex
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -77,3 +92,52 @@ def test_staircase_diagram_spans_tau_plus_one_cells_and_padding(half):
     root = ET.fromstring(svg_for_complex(from_staircase(stair)))
     span = (tau(stair) + 1 + 2 * PAD_CELLS) * CELL
     assert (int(root.get("width")), int(root.get("height"))) == (span, span)
+
+
+@pytest.mark.parametrize(
+    "gens, arrows, report",
+    [
+        ([("a", 0, 0), ("b", 0, -1)], [("a", "b", 0), ("b", "zz", 0)],
+         "unknown-generator: arrow b->zz has a loose end"),
+        ([("a", 0, 0), ("b", 0, -1), ("a", 1, 1)], [("a", "b", 0)],
+         "duplicate-name: generator names ['a'] repeat"),
+    ],
+    ids=["loose-arrow", "repeated-name"],
+)
+def test_refuses_in_validates_words(gens, arrows, report):
+    c = FilteredComplex([Generator(*g) for g in gens], [Arrow(*a) for a in arrows])
+    with pytest.raises(CFKError) as refused:
+        svg_for_complex(c)
+    assert str(refused.value) == validate(c) == report
+
+
+@st.composite
+def graded_complexes(draw):
+    """Up to 8 generators under distinct names in shuffled order, so that
+    name order and position order differ, with some of the arrows the Maslov
+    rule allows (any upower it pins, filtration unchecked)."""
+    names = draw(st.lists(st.text("abxy'1", min_size=1, max_size=3), max_size=8, unique=True))
+    gens = [Generator(n, draw(st.integers(-2, 2)), draw(st.integers(-3, 3))) for n in names]
+    gens = draw(st.permutations(gens))
+    allowed = [
+        Arrow(s.name, t.name, (t.maslov - s.maslov + 1) // 2)
+        for s in gens for t in gens
+        if (t.maslov - s.maslov + 1) % 2 == 0
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    return FilteredComplex(gens, [a for a, k in zip(allowed, keep) if k])
+
+
+STAIRCASES = st.lists(st.integers(1, 3), max_size=3).map(
+    lambda half: Staircase(tuple(half + half[::-1]))
+)
+
+
+@given(
+    graded_complexes()
+    | st.builds(scrambled_double, st.integers(1, 6), st.integers(0, 1 << 16), st.integers(1, 16))
+    | STAIRCASES.map(from_staircase).map(lambda c: tensor(c, c))
+)
+@settings(deadline=None)
+def test_matches_the_named_drawing(complex):
+    assert svg_for_complex(complex) == reference_svg_for_complex(complex)

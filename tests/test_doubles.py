@@ -32,7 +32,7 @@ from cfktools.doubles import (
 )
 
 from .complex_fixtures import plan_respecting_moves
-from .oracles import hfk_hat_double
+from .oracles import hfk_hat_double, reference_double_complex
 
 
 class TestHfkTable:
@@ -83,6 +83,13 @@ class TestBuild:
     def test_rejects_bad_m(self):
         with pytest.raises(InvalidParameter):
             build_double_complex(0)
+
+    def test_matches_the_named_construction_up_to_the_largest_double(self):
+        for m in range(1, MAX_DOUBLE + 1):
+            got, want = build_double_complex(m), reference_double_complex(m)
+            assert got == want and hash(got) == hash(want), m
+            assert got.generators == want.generators and got.arrows == want.arrows, m
+            assert validate(got) is None, m
 
     @pytest.mark.parametrize("m", range(1, 4))
     def test_squared_differential_cancels_in_stated_pairs(self, m):

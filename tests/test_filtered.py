@@ -85,24 +85,25 @@ def cross_arrows(complex, plan):
 
 
 def after_each_pair(complex, plan):
-    """remove_diagonals' arrows (source, target, upower) after each plan pair.
+    """remove_diagonals' (hi, lo, arrows) for each plan pair it clears.
 
-    Each pair's arrows are the previous pair's, the input's at first, with the
-    toggles ``_clear_pair`` returns applied, read by name from the input's
-    generator positions.  Every pair but the last leaves arrows toward earlier
-    subsets that depend on which moves it chose; the last result is the
-    returned complex's.
+    One entry per ``_clear_pair`` call: the pair of subsets and the arrows
+    (source, target, upower) after it.  Each call's arrows are the previous
+    call's, the input's at first, with the toggles it returns applied, read
+    by name from the input's generator positions.  Every pair but the last
+    leaves arrows toward earlier subsets that depend on which moves it chose;
+    the last result is the returned complex's.
     """
     steps = []
     arrows = {(a.source, a.target, a.upower) for a in complex.arrows}
     names = complex.names()
     clear_pair = filtered._clear_pair
 
-    def record(*args):
+    def record(complex, residual, members, subset, hi, lo):
         nonlocal arrows
-        toggles = clear_pair(*args)
+        toggles = clear_pair(complex, residual, members, subset, hi, lo)
         arrows = arrows ^ {(names[s], names[t], u) for s, t, u in toggles}
-        steps.append(arrows)
+        steps.append((hi, lo, arrows))
         return toggles
 
     with mock.patch.object(filtered, "_clear_pair", record):
@@ -542,6 +543,23 @@ class TestRemoveDiagonals:
                 mock.patch.object(FilteredComplex, "_build", classmethod(counting_build)):
             remove_diagonals(complex, plan)
         assert len(built) <= 1
+
+    def test_clears_no_pair_of_the_clean_doubles(self):
+        def unexpected(*args):
+            raise AssertionError(f"cleared subset {args[4]} against subset {args[5]}")
+
+        with mock.patch.object(filtered, "_clear_pair", unexpected):
+            for m in range(1, 201):
+                clean = build_double_complex(m)
+                assert remove_diagonals(clean, splitting_plan(m)) == clean, m
+
+    def test_refuses_a_pair_whose_arrows_survive(self):
+        """A pair left uncleared keeps the residual's highest subset where it was."""
+        complex, plan = scrambled_double(2, 7, 10), splitting_plan(2)
+        assert cross_arrows(complex, plan)
+        with mock.patch.object(filtered, "_clear_pair", lambda *args: set()), \
+                pytest.raises(InadmissiblePlan, match="^cross arrows survived elimination: "):
+            remove_diagonals(complex, plan)
 
     def test_unsolvable_pair(self):
         """y->t has no candidate move: t's Maslov parity differs from y's."""
