@@ -151,6 +151,8 @@ def _load_complex(path: str) -> FilteredComplex:
         complex = complex_from_json_dict(data)
     except ValueError as exc:
         raise CFKError(str(exc))
+    except CFKError as exc:  # refused in validate's words
+        raise CFKError(f"invalid complex: {exc}")
     violation = validate(complex)
     if violation:
         raise CFKError(f"invalid complex: {violation}")
@@ -247,8 +249,6 @@ def _leaf_type(items: list):
     if all(items) and _SCALARS.issuperset(map(type, values)):
         return kinds.pop()
     return None
-
-
 
 
 def _emit(args: argparse.Namespace, payload: dict, text) -> str:

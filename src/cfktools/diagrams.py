@@ -6,21 +6,21 @@ target's column to sit a cells left of the source's.  Columns are assigned
 per connected component by a breadth-first walk over generator positions,
 rooted at the component's first generator, that takes each generator's
 arrows in the order they are drawn (conflicting constraints, which graded
-complexes built here never produce, fall back to the walk tree).  Names are
-read only to order the arrows (by source name, target name and upower) and
-the dots (by name), and for the dots' titles; a complex whose names repeat,
-or with an arrow whose end names no generator, is refused.  Fixed cell
-size, no styling knobs.  The grid draws a line per cell, so a diagram may
-span at most MAX_GRID_CELLS cells per axis, padding included; a staircase's
-span is checked from its vertices, before its complex is built.
+complexes built here never produce, fall back to the walk tree).  Names,
+which differ in every complex, are read only to order the arrows (by source
+name, target name and upower) and the dots (by name), and for the dots'
+titles.  Fixed cell size, no styling knobs.  The grid draws a line per cell,
+so a diagram may span at most MAX_GRID_CELLS cells per axis, padding
+included; a staircase's span is checked from its vertices, before its
+complex is built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import CFKError, InvalidParameter
-from .filtered import FilteredComplex, _naming_defect, from_staircase
+from .errors import InvalidParameter
+from .filtered import FilteredComplex, from_staircase
 from .staircase import Staircase, tau
 
 CELL = 40
@@ -58,10 +58,7 @@ def _check_grid(columns: int, rows: int) -> None:
 
 
 def svg_for_complex(complex: FilteredComplex) -> str:
-    """The complex's diagram; a repeated name or a loose arrow is refused."""
-    defect = _naming_defect(complex)
-    if defect:
-        raise CFKError(defect)
+    """The complex's diagram."""
     names = complex._names
     ordered = sorted(complex._arrows, key=lambda a: (names[a[0]], names[a[1]], a[2]))
     cols = _columns(len(names), ordered)

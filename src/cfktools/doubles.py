@@ -129,17 +129,16 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     never by generator names.  Only the three-generator components are built
     as complexes, to be compared with the trefoil.
     """
-    parts, loose = _components(complex)
+    parts = _components(complex)
     trefoil_index, trefoil, rest = None, None, complex
-    for idx, (part, extra) in enumerate(zip(parts, loose)):
+    for idx, part in enumerate(parts):
         if len(part) == 3:
-            comp = complex._subcomplex(part, extra)
+            comp = complex._subcomplex(part)
             if isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
                 trefoil_index, trefoil = idx, comp
                 drop = set(part)
                 keep = [p for p in range(len(complex)) if p not in drop]
-                # the trefoil's two arrows leave no room for a loose one
-                rest = complex._subcomplex(keep, complex._loose)
+                rest = complex._subcomplex(keep)
                 break
     rest_verdict = is_acyclic(rest).verdict
     return SplittingReport(

@@ -29,10 +29,12 @@ only where they decide what is printed or chosen:
   order.
 
 The named views (generators, arrows, generator(name)) of a complex built
-from positions are made when first read.  Complexes validate refuses keep
-what they were built from: a repeated name stands for its last generator,
-and an arrow whose end names no generator is loose, kept by name beside
-the triples.
+from positions are made when first read.  Names come in only where a
+complex is built by name (the constructor, with_arrows, tensor of factors
+whose names hold a '*', and complex_from_json_dict), and each refuses a
+repeated name or an arrow whose end names no generator with a CFKError in
+validate's words, so every complex's names differ and its arrows join
+generators.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from . import gf2
-from .errors import IllegalBasisChange, InadmissiblePlan
+from .errors import CFKError, IllegalBasisChange, InadmissiblePlan
 from .staircase import Staircase, vertices
 
 
@@ -71,11 +73,11 @@ class FilteredComplex:
     """Immutable complex; operations return new values.
 
     Generator k has name _names[k] and gradings _alexander[k] and
-    _maslov[k]; _arrows holds the arrow triples and _loose the loose Arrows.
+    _maslov[k]; _arrows holds the arrow triples.
     """
 
     __slots__ = (
-        "_names", "_alexander", "_maslov", "_arrows", "_loose",
+        "_names", "_alexander", "_maslov", "_arrows",
         "_generators", "_arrow_view", "_index", "_adjacency",
     )
 
@@ -84,21 +86,20 @@ class FilteredComplex:
         names, alexander, maslov = zip(*gens) if gens else ((), (), ())
         view = frozenset(arrows)
         index = _index_of(names)
-        _fill(self, names, alexander, maslov, *_positions(index, view), gens, view, index)
+        arrows = _positions(names, index, view)
+        _fill(self, names, alexander, maslov, arrows, gens, view, index)
 
     @classmethod
-    def _build(cls, names, alexander, maslov, arrows, loose=frozenset(), index=None,
-               generators=None):
+    def _build(cls, names, alexander, maslov, arrows, index=None, generators=None):
         """A complex from its positional fields; arrows is a frozenset of triples."""
         complex = object.__new__(cls)
-        _fill(complex, names, alexander, maslov, arrows, loose, generators, None, index)
+        _fill(complex, names, alexander, maslov, arrows, generators, None, index)
         return complex
 
-    def _with(self, arrows, loose=None) -> "FilteredComplex":
-        """These generators with the arrow triples arrows (and these loose ones)."""
+    def _with(self, arrows) -> "FilteredComplex":
+        """These generators with the arrow triples arrows."""
         return FilteredComplex._build(
-            self._names, self._alexander, self._maslov, arrows,
-            self._loose if loose is None else loose, self._index, self._generators,
+            self._names, self._alexander, self._maslov, arrows, self._index, self._generators
         )
 
     def __setattr__(self, *_):
@@ -116,11 +117,11 @@ class FilteredComplex:
         if self._arrow_view is None:
             names = self._names
             view = frozenset([Arrow(names[s], names[t], u) for s, t, u in self._arrows])
-            _set(self, "_arrow_view", view | self._loose)
+            _set(self, "_arrow_view", view)
         return self._arrow_view
 
     def _lookup(self) -> dict[str, int]:
-        """Each name's position, the last one for a repeated name."""
+        """Each name's position."""
         if self._index is None:
             _set(self, "_index", _index_of(self._names))
         return self._index
@@ -142,10 +143,9 @@ class FilteredComplex:
         names = self._names
         return min(triples, key=lambda a: (names[a[0]], names[a[1]], a[2]))
 
-    def _subcomplex(self, keep: list[int], loose) -> "FilteredComplex":
-        """The generators at positions keep, in that order, with their arrows
-        and the given loose arrows.  No arrow may join keep to the rest, and
-        keep must hold every position of each name it holds."""
+    def _subcomplex(self, keep: list[int]) -> "FilteredComplex":
+        """The generators at positions keep, in that order, with their arrows.
+        No arrow may join keep to the rest."""
         new = dict(zip(keep, range(len(keep))))
         out = self._neighbours()[0]
         names, alexander, maslov = self._names, self._alexander, self._maslov
@@ -154,7 +154,6 @@ class FilteredComplex:
             tuple([alexander[p] for p in keep]),
             tuple([maslov[p] for p in keep]),
             frozenset([(new[s], new[t], u) for s in keep for t, u in out[s]]),
-            frozenset(loose),
         )
 
     def __len__(self) -> int:
@@ -168,12 +167,12 @@ class FilteredComplex:
 
     def with_arrows(self, arrows) -> "FilteredComplex":
         view = frozenset(arrows)
-        complex = self._with(*_positions(self._lookup(), view))
+        complex = self._with(_positions(self._names, self._lookup(), view))
         _set(complex, "_arrow_view", view)
         return complex
 
     def _key(self) -> tuple:
-        return (self._names, self._alexander, self._maslov, self._arrows, self._loose)
+        return (self._names, self._alexander, self._maslov, self._arrows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FilteredComplex):
@@ -184,19 +183,17 @@ class FilteredComplex:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        arrows = len(self._arrows) + len(self._loose)
-        return f"<FilteredComplex {len(self._names)} generators, {arrows} arrows>"
+        return f"<FilteredComplex {len(self._names)} generators, {len(self._arrows)} arrows>"
 
 
 _set = object.__setattr__
 
 
-def _fill(complex, names, alexander, maslov, arrows, loose, generators, view, index) -> None:
+def _fill(complex, names, alexander, maslov, arrows, generators, view, index) -> None:
     _set(complex, "_names", names)
     _set(complex, "_alexander", alexander)
     _set(complex, "_maslov", maslov)
     _set(complex, "_arrows", arrows)
-    _set(complex, "_loose", loose)
     _set(complex, "_generators", generators)
     _set(complex, "_arrow_view", view)
     _set(complex, "_index", index)
@@ -207,45 +204,37 @@ def _index_of(names) -> dict[str, int]:
     return dict(zip(names, range(len(names))))
 
 
-def _positions(index: dict[str, int], arrows) -> tuple[frozenset, frozenset]:
-    """(triples, loose): the arrows whose ends index names, by position, and
-    the rest as Arrows."""
+def _refuse_repeats(names, index: dict[str, int]) -> None:
+    """Raise CFKError in validate's words if names repeat; index maps them
+    to positions."""
+    if len(index) != len(names):
+        dupes = [n for n, k in Counter(names).items() if k > 1]
+        raise CFKError(f"duplicate-name: generator names {sorted(dupes)} repeat")
+
+
+def _positions(names, index: dict[str, int], arrows) -> frozenset[tuple[int, int, int]]:
+    """The named arrows as position triples, where index maps names to positions.
+
+    A repeated name, or else an arrow end that names no generator, raises
+    CFKError in validate's words, naming the least such arrow.
+    """
+    _refuse_repeats(names, index)
     try:
-        return frozenset([(index[s], index[t], u) for s, t, u in arrows]), frozenset()
+        return frozenset([(index[s], index[t], u) for s, t, u in arrows])
     except KeyError:
         pass
-    triples, loose = [], []
-    for source, target, upower in arrows:
-        s, t = index.get(source), index.get(target)
-        if s is None or t is None:
-            loose.append(Arrow(source, target, upower))
-        else:
-            triples.append((s, t, upower))
-    return frozenset(triples), frozenset(loose)
-
-
-def _naming_defect(complex: FilteredComplex) -> str | None:
-    """validate's report of a repeated name or else of a loose arrow, or None."""
-    names = complex._names
-    if len(complex._lookup()) != len(names):
-        dupes = [n for n, k in Counter(names).items() if k > 1]
-        return f"duplicate-name: generator names {sorted(dupes)} repeat"
-    if complex._loose:
-        a = min(complex._loose)
-        return f"unknown-generator: arrow {a.source}->{a.target} has a loose end"
-    return None
+    s, t, _ = min(a for a in arrows if a[0] not in index or a[1] not in index)
+    raise CFKError(f"unknown-generator: arrow {s}->{t} has a loose end")
 
 
 def validate(complex: FilteredComplex) -> str | None:
     """None when every invariant holds, else a report naming the first failure.
 
-    The checks run by position; a report names the least faulty arrow in
-    name order, or the first generator in the complex's order whose d²
-    is not zero.
+    The complex's names differ and its arrows join generators, as every
+    complex is built so.  The checks run by position; a report names the
+    least faulty arrow in name order, or the first generator in the
+    complex's order whose d² is not zero.
     """
-    naming = _naming_defect(complex)
-    if naming:
-        return naming
     names, alexander, maslov = complex._names, complex._alexander, complex._maslov
     faulty = [
         (s, t, u) for s, t, u in complex._arrows
@@ -300,32 +289,19 @@ def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
 
     The pair (g, h) of positions sits at position g * len(c2) + h, named
     "g*h" from the factors' names, so the generators run in pair order.
+    Product names can repeat only when a factor's name holds a '*' (x and
+    x*x both give x*x*x); such a product is refused with a CFKError in
+    validate's words.
     """
     n2 = len(c2)
     names = tuple([f"{a}*{b}" for a in c1._names for b in c2._names])
     alexander = tuple([a + b for a in c1._alexander for b in c2._alexander])
     maslov = tuple([a + b for a in c1._maslov for b in c2._maslov])
-    if not (_plain(c1) and _plain(c2)):
-        # product names may repeat, or arrows dangle: pair the arrows by name
-        product = FilteredComplex._build(names, alexander, maslov, frozenset())
-        return product.with_arrows(
-            [Arrow(f"{a.source}*{h}", f"{a.target}*{h}", a.upower)
-             for a in c1.arrows for h in c2._names]
-            + [Arrow(f"{g}*{a.source}", f"{g}*{a.target}", a.upower)
-               for g in c1._names for a in c2.arrows]
-        )
+    if any("*" in name for name in c1._names + c2._names):
+        _refuse_repeats(names, _index_of(names))
     arrows = [(s * n2 + h, t * n2 + h, u) for s, t, u in c1._arrows for h in range(n2)]
     arrows += [(g + s, g + t, u) for g in range(0, len(names), n2 or 1) for s, t, u in c2._arrows]
     return FilteredComplex._build(names, alexander, maslov, frozenset(arrows))
-
-
-def _plain(complex: FilteredComplex) -> bool:
-    """No loose arrow, and names that differ and hold no '*', so that the
-    names of a product with another such complex differ too."""
-    names = complex._names
-    return not complex._loose and len(complex._lookup()) == len(names) and not any(
-        "*" in name for name in names
-    )
 
 
 def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
@@ -368,15 +344,7 @@ def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex
             into_y.append((s, u))
         if s == x:
             out_x.append((t, u))
-    arrows = complex._arrows ^ _toggles(x, y, shift, into_y, out_x)
-    loose = complex._loose
-    if loose:  # their copies dangle too
-        loose = loose.symmetric_difference(
-            [Arrow(a.source, move.x, a.upower + shift) for a in loose if a.target == move.y]
-        ).symmetric_difference(
-            [Arrow(move.y, a.target, a.upower + shift) for a in loose if a.source == move.x]
-        )
-    return complex._with(arrows, loose)
+    return complex._with(complex._arrows ^ _toggles(x, y, shift, into_y, out_x))
 
 
 def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> FilteredComplex:
@@ -408,9 +376,6 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
     names = complex._names
     if set(position) != set(names):
         raise InadmissiblePlan("plan does not partition the generators")
-    if complex._loose:
-        a = min(complex._loose)
-        raise InadmissiblePlan(f"arrow {a.source}->{a.target} has a loose end")
     subset = [position[name] for name in names]
     forward = [a for a in complex._arrows if subset[a[0]] < subset[a[1]]]
     if forward:
@@ -501,45 +466,28 @@ def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
 
     Each component keeps its generators in the complex's order.
     """
-    parts, loose = _components(complex)
-    return [complex._subcomplex(part, extra) for part, extra in zip(parts, loose)]
+    return [complex._subcomplex(part) for part in _components(complex)]
 
 
-def _components(complex: FilteredComplex) -> tuple[list[list[int]], list[list[Arrow]]]:
-    """Each component's positions and loose arrows, in first-generator order.
-
-    The generators of one name share a component, and a loose arrow joins
-    its ends through a node for each missing name.
-    """
-    index = complex._lookup()
+def _components(complex: FilteredComplex) -> list[list[int]]:
+    """Each component's positions, in increasing order, in first-generator order."""
     out, into = complex._neighbours()
-    links: dict[int | str, list[int | str]] = {}
-    for a in complex._loose:
-        s, t = index.get(a.source, a.source), index.get(a.target, a.target)
-        links.setdefault(s, []).append(t)
-        links.setdefault(t, []).append(s)
-    label: dict[int | str, int] = {}
+    label = [-1] * len(out)
     parts: list[list[int]] = []
-    for p, name in enumerate(complex._names):
-        root = index[name]
-        if root not in label:
-            label[root] = len(parts)
+    for p in range(len(out)):
+        if label[p] < 0:
+            label[p] = len(parts)
             parts.append([])
-            stack = [root]
+            stack = [p]
             while stack:
                 node = stack.pop()
-                ends = links.get(node, [])
-                if type(node) is int:
-                    ends = [q for q, _ in out[node]] + [q for q, _ in into[node]] + ends
-                for q in ends:
-                    if q not in label:
-                        label[q] = label[root]
-                        stack.append(q)
-        parts[label[root]].append(p)
-    loose: list[list[Arrow]] = [[] for _ in parts]
-    for a in complex._loose:
-        loose[label[index.get(a.source, a.source)]].append(a)
-    return parts, loose
+                for ends in (out[node], into[node]):
+                    for q, _ in ends:
+                        if label[q] < 0:
+                            label[q] = label[p]
+                            stack.append(q)
+        parts[label[p]].append(p)
+    return parts
 
 
 def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:
@@ -590,7 +538,12 @@ def _field(record: dict, key: str, kind: type):
 
 
 def complex_from_json_dict(data: dict) -> FilteredComplex:
-    """Inverse of to_json_dict; names must be strings and gradings integers."""
+    """Inverse of to_json_dict; names must be strings and gradings integers.
+
+    A malformed field, then duplicate arrows, raise ValueError; then a
+    repeated name, then an arrow end that names no generator, raise
+    CFKError in validate's words.
+    """
     try:
         gens = [
             (_field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int))
@@ -604,7 +557,12 @@ def complex_from_json_dict(data: dict) -> FilteredComplex:
         raise ValueError(f"malformed complex document: {exc}") from exc
     names, alexander, maslov = zip(*gens) if gens else ((), (), ())
     index = _index_of(names)
-    triples, loose = _positions(index, arrows)
-    if len(arrows) != len(triples) + len(loose):
+    try:
+        triples = _positions(names, index, arrows)
+    except CFKError:
+        if len(set(arrows)) == len(arrows):
+            raise
+        triples = ()  # duplicate arrows are reported first
+    if len(triples) != len(arrows):
         raise ValueError("malformed complex document: duplicate arrows")
-    return FilteredComplex._build(names, alexander, maslov, triples, loose, index)
+    return FilteredComplex._build(names, alexander, maslov, triples, index)

@@ -96,13 +96,6 @@ def _ranks(column: dict[int, tuple[list[int], list[int]]]) -> dict[int, int]:
     return ranks
 
 
-def _refuse_loose(complex: FilteredComplex) -> None:
-    """Raise CFKError naming the least arrow with an end that names no generator."""
-    if complex._loose:
-        a = min(complex._loose)
-        raise CFKError(f"arrow {a.source}->{a.target} has a loose end")
-
-
 def hat_homology_ranks(complex: FilteredComplex) -> dict[int, int]:
     """Homology ranks of the i = 0 column, keyed by Maslov grading."""
     return _ranks(_column(complex))
@@ -114,9 +107,8 @@ def hfk_hat_ranks(complex: FilteredComplex) -> dict[tuple[int, int], int]:
     Reduced: no arrow keeps both filtrations (upower 0 between equal
     Alexander gradings), so the associated graded differential is zero and
     each bigrading's rank is its generator count.  Any other complex raises
-    CFKError naming its least such arrow, and so does one with a loose end.
+    CFKError naming its least such arrow.
     """
-    _refuse_loose(complex)
     alexander = complex._alexander
     kept = [a for a in complex._arrows if a[2] == 0 and alexander[a[0]] == alexander[a[1]]]
     if kept:
@@ -192,7 +184,7 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     Defined on Maslov-graded complexes, where the gradings pin each entry of
     the differential to one monomial, a unit: an entry is just a target in a
     set.  A complex with an arrow off the Maslov rule is indeterminate, every
-    generator a survivor; one with a loose end raises CFKError.  One walk in
+    generator a survivor.  One walk in
     name order cancels each generator g that still has arrows against its
     least target h, and every z -> h gains g's targets (the zig-zag rule).
     That rewrites only generators with an arrow into h, all after g, so one
@@ -202,10 +194,9 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     The walk numbers the generators by rank in name order, so that the
     least target is the least number.
     """
-    _refuse_loose(complex)
     maslov = complex._maslov
     index = complex._lookup()
-    order = sorted(index)  # a repeated name stands for its last generator
+    order = sorted(index)
     if any(maslov[t] - 2 * u != maslov[s] - 1 for s, t, u in complex._arrows):
         return AcyclicityReport("indeterminate", 0, tuple(order))
     rank = [0] * len(maslov)

@@ -9,7 +9,8 @@ move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
 span test per U-power, the acyclicity certificate by repeated unit-pivot
 search over sets of Laurent exponents, the double's complex from named
-generators and arrows, and the SVG diagram laid out by generator name.
+generators and arrows, the SVG diagram laid out by generator name, and
+the naming defect validate reports of named lists.
 """
 
 from __future__ import annotations
@@ -131,6 +132,19 @@ def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
         arrows = [a for a in sorted(complex.arrows) if a.source in block]
         components.append(FilteredComplex(gens, arrows))
     return components
+
+
+def reference_naming_defect(generators: list, arrows: list) -> str | None:
+    """validate's report of a repeated name, or else of the least arrow with
+    an end that names no generator, or None; over plain named lists."""
+    names = [g[0] for g in generators]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        return f"duplicate-name: generator names {repeated} repeat"
+    loose = sorted(tuple(a) for a in arrows if a[0] not in names or a[1] not in names)
+    if loose:
+        return f"unknown-generator: arrow {loose[0][0]}->{loose[0][1]} has a loose end"
+    return None
 
 
 def reference_tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:

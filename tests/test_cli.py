@@ -288,6 +288,31 @@ def test_bad_complex_file_exits_1(runner, tmp_path, monkeypatch, args, content, 
     assert not (tmp_path / "out.svg").exists()
 
 
+def _trefoil_with(arrows: list[tuple[str, str, int]], names: list[str]) -> dict:
+    """The trefoil's complex document with extra arrows and generators."""
+    document = to_json_dict(from_staircase(Staircase((1, 1))))
+    document["arrows"] += [{"from": s, "to": t, "upower": u} for s, t, u in arrows]
+    document["generators"] += [{"name": n, "alexander": 0, "maslov": 0} for n in names]
+    return document
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _trefoil_with([("s1", "ghost", 0), ("s1", "s0", 1)], []),
+        _trefoil_with([("s1", "s2", 0)], ["s0"]),
+    ],
+    ids=["loose-arrow", "repeated-name"],
+)
+def test_duplicate_arrows_are_reported_first(runner, tmp_path, document):
+    """Before a repeated name or a loose end, as in a document's report order."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
+    result = runner.invoke(main, ["d1", "--complex", str(path)])
+    assert result.exit_code == 1
+    assert result.output == "Error: malformed complex document: duplicate arrows\n"
+
+
 class TestClassify:
     def test_verdicts(self, runner):
         for args, verdict in [

@@ -49,6 +49,7 @@ from .complex_fixtures import (
 )
 from .oracles import (
     _apply_move,
+    reference_naming_defect,
     reference_remove_diagonals,
     reference_split_summands,
     reference_tensor,
@@ -162,35 +163,87 @@ FIXTURE_COMPLEXES = st.one_of(
 
 
 @st.composite
-def loose_complexes(draw):
-    """Generators whose names may repeat, and arrows that may repeat or have
-    a loose end (a name no generator has)."""
-    gens = draw(st.lists(st.builds(Generator, st.sampled_from("abc"), SMALL, SMALL), max_size=5))
-    ends = st.sampled_from(["a", "b", "c", "ghost", "x*y"])
+def loose_complexes(draw, names="abc"):
+    """Generators whose names, drawn from names, may repeat, and arrows that
+    may repeat or have a loose end (a name no generator has)."""
+    gens = draw(st.lists(st.builds(Generator, st.sampled_from(names), SMALL, SMALL), max_size=5))
+    ends = st.sampled_from([*names, "ghost", "x*y"])
     arrows = draw(st.lists(st.builds(Arrow, ends, ends, st.integers(-1, 2)), max_size=8))
     return gens, arrows + draw(st.lists(st.sampled_from(arrows), max_size=3) if arrows else st.just([]))
 
 
+def _named_part(gens, arrows):
+    """The first generator of each name, and the arrows between their names."""
+    first = {}
+    for g in gens:
+        first.setdefault(g.name, g)
+    return list(first.values()), [a for a in arrows if a.source in first and a.target in first]
+
+
+def _build_by_name(gens, arrows):
+    """The complexes the constructor, with_arrows and complex_from_json_dict
+    build from gens and arrows (given once each); each raises CFKError if a
+    name repeats or an arrow end names no generator."""
+    document = {
+        "generators": [{"name": n, "alexander": a, "maslov": m} for n, a, m in gens],
+        "arrows": [{"from": s, "to": t, "upower": u} for s, t, u in arrows],
+    }
+    return [
+        lambda: FilteredComplex(gens, arrows),
+        lambda: FilteredComplex(gens, []).with_arrows(arrows),
+        lambda: complex_from_json_dict(document),
+    ]
+
+
 class TestPublicViews:
     """A complex reads back exactly the generators and arrows it was built
-    from, whatever validate would say of them."""
+    from, whatever validate would say of their gradings; a repeated name or
+    an arrow end that names no generator is refused where it is built, in
+    validate's words."""
 
     def test_repeated_names_loose_ends_and_duplicate_arrows(self):
         gens = [Generator("a", 0, 0), Generator("b", 0, -1), Generator("a", 1, 1)]
         arrows = [Arrow("a", "b", 0), Arrow("b", "ghost", 0), Arrow("a", "b", 0)]
-        c = FilteredComplex(gens, arrows)
-        assert c.generators == tuple(gens)
-        assert c.arrows == frozenset({Arrow("a", "b", 0), Arrow("b", "ghost", 0)})
-        assert c.names() == ["a", "b", "a"] and len(c) == 3
-        assert c.generator("a") == Generator("a", 1, 1)
+        # a repeated name is reported before a loose end
+        with pytest.raises(CFKError, match=r"^duplicate-name: generator names \['a'\] repeat$"):
+            FilteredComplex(gens, arrows)
+        with pytest.raises(CFKError, match="^unknown-generator: arrow b->ghost has a loose end$"):
+            FilteredComplex(gens[:2], arrows)
+        c = FilteredComplex(gens[:2], [arrows[0], arrows[2]])
+        with pytest.raises(CFKError, match="^unknown-generator: arrow b->ghost has a loose end$"):
+            c.with_arrows(arrows)
+        assert c.generators == tuple(gens[:2])
+        assert c.arrows == frozenset({Arrow("a", "b", 0)})
+        assert c.names() == ["a", "b"] and len(c) == 2
+        assert c.generator("a") == Generator("a", 0, 0)
         with pytest.raises(KeyError):
             c.generator("ghost")
-        assert repr(c) == "<FilteredComplex 3 generators, 2 arrows>"
-        assert validate(c) == "duplicate-name: generator names ['a'] repeat"
+        assert repr(c) == "<FilteredComplex 2 generators, 1 arrows>"
+
+    @given(loose_complexes())
+    def test_every_named_entry_refuses_the_oracles_defect(self, drawn):
+        """The constructor, with_arrows and complex_from_json_dict refuse
+        exactly the drawn lists the oracle finds a defect in, with its text;
+        a document's duplicate arrows are reported before any such defect."""
+        gens, arrows = drawn
+        once = list(dict.fromkeys(arrows))
+        defect = reference_naming_defect(gens, once)
+        for build in _build_by_name(gens, once):
+            if defect:
+                with pytest.raises(CFKError) as refused:
+                    build()
+                assert str(refused.value) == defect
+            else:
+                c = build()
+                assert c.generators == tuple(gens)
+                assert c.arrows == frozenset(arrows)
+        if len(once) < len(arrows):
+            with pytest.raises(ValueError, match="^malformed complex document: duplicate arrows$"):
+                _build_by_name(gens, arrows)[2]()
 
     @given(loose_complexes())
     def test_views_of_drawn_complexes(self, drawn):
-        gens, arrows = drawn
+        gens, arrows = _named_part(*drawn)
         c = FilteredComplex(gens, arrows)
         assert c.generators == tuple(gens)
         assert c.arrows == frozenset(arrows)
@@ -207,11 +260,11 @@ class TestPublicViews:
 
     @given(SMALL, SMALL, st.integers(0, 2), st.integers(0, 2), SMALL, SMALL, st.data())
     def test_basis_change_of_drawn_complexes(self, ax, mx, shift, lift, ac, mc, data):
-        """Arrows into y copy onto x and arrows out of x copy onto y, loose
-        ends and all, each toggled in on its own."""
+        """Arrows into y copy onto x and arrows out of x copy onto y, each
+        toggled in on its own."""
         x, y = Generator("x", ax, mx), Generator("y", ax - shift + lift, mx - 2 * shift)
         gens = data.draw(st.permutations([x, y, Generator("c", ac, mc)]))
-        ends = st.sampled_from(["x", "y", "c", "ghost"])
+        ends = st.sampled_from(["x", "y", "c"])
         arrows = data.draw(st.lists(st.builds(Arrow, ends, ends, st.integers(-1, 2)), max_size=8))
         c = FilteredComplex(gens, arrows)
         after = basis_change(c, BasisChange(x="x", y="y"))
@@ -333,14 +386,14 @@ class TestValidate:
         assert report is not None and report.startswith("d-squared")
 
     def test_duplicate_names(self):
-        c = FilteredComplex([Generator("a", 0, 0), Generator("a", 1, 1)], [])
-        report = validate(c)
-        assert report is not None and report.startswith("duplicate-name")
+        """Refused in validate's words where the complex is built."""
+        with pytest.raises(CFKError, match="^duplicate-name"):
+            FilteredComplex([Generator("a", 0, 0), Generator("a", 1, 1)], [])
 
     def test_unknown_generator(self):
-        c = FilteredComplex([Generator("a", 0, 0)], [Arrow("a", "ghost", 0)])
-        report = validate(c)
-        assert report is not None and report.startswith("unknown-generator")
+        """Refused in validate's words where the complex is built."""
+        with pytest.raises(CFKError, match="^unknown-generator"):
+            FilteredComplex([Generator("a", 0, 0)], [Arrow("a", "ghost", 0)])
 
 
 class TestTensor:
@@ -380,9 +433,21 @@ class TestTensor:
         assert to_json_dict(got) == to_json_dict(want)
         assert got == want and hash(got) == hash(want)
 
-    @given(loose_complexes(), loose_complexes())
+    @given(loose_complexes(["a", "b", "a*a"]), loose_complexes(["a", "b", "a*a"]))
     def test_matches_reference_on_unchecked_complexes(self, d1, d2):
-        c1, c2 = FilteredComplex(*d1), FilteredComplex(*d2)
+        """Factors of any gradings, whose names may hold a '*': the product
+        is refused exactly when its names repeat (a * a*a and a*a * a are
+        both a*a*a), in validate's words, and otherwise is the reference's."""
+        c1, c2 = (FilteredComplex(*_named_part(*d)) for d in (d1, d2))
+        names = [f"{g}*{h}" for g in c1.names() for h in c2.names()]
+        defect = reference_naming_defect([(n,) for n in names], [])
+        if defect:
+            with pytest.raises(CFKError) as refused:
+                tensor(c1, c2)
+            assert str(refused.value) == defect
+            with pytest.raises(CFKError):
+                reference_tensor(c1, c2)
+            return
         got, want = tensor(c1, c2), reference_tensor(c1, c2)
         assert got.generators == want.generators
         assert got.arrows == want.arrows
