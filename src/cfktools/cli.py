@@ -293,7 +293,7 @@ def _double(args: argparse.Namespace) -> str:
     report: dict = {
         "knot": f"D(T(2,{2 * m + 1}))",
         "generators": len(complex),
-        "arrows": len(complex.arrows),
+        "arrows": len(complex._arrows),
         "valid": validate(complex) is None,
         "hfk_ranks": [
             {"alexander": a, "maslov": mm, "rank": r}
@@ -334,7 +334,7 @@ def _d1(args: argparse.Namespace) -> str:
     complex = _load_complex(args.path)
     report = {
         "file": args.path,
-        "generators": len(complex.generators),
+        "generators": len(complex),
         # d1_general raises NotAKnotComplex unless the ranks are exactly these
         "hat_ranks": {"0": 1},
         "d1": d1_general(complex),

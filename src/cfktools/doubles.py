@@ -3,8 +3,8 @@
 Builds the full complex of the positively-clasped untwisted double in its
 diagonal-free normal form, checks that it splits as one three-generator
 staircase summand plus acyclic boxes, computes the second-iterate invariant
-through the tensor square, and runs the distinguishability test for iterated
-doubles.
+as d1 of the tensor square, taken from its two factors so that the square is
+never built, and runs the distinguishability test for iterated doubles.
 
 Generator families and their (alexander, maslov) gradings, for p = 1..m:
 
@@ -27,9 +27,8 @@ from .filtered import (
     _components,
     from_staircase,
     isomorphic_up_to_shift,
-    tensor,
 )
-from .homology import d1_general, is_acyclic
+from .homology import d1_tensor, is_acyclic
 from .staircase import Staircase, delta_whitehead, tau
 
 
@@ -119,7 +118,7 @@ class SplittingReport:
 
 _TREFOIL_MODEL = from_staircase(Staircase((1, 1)))
 
-MAX_SQUARED_DOUBLE = 10  # largest m whose double is squared in full: 25,281 generators
+MAX_SQUARED_DOUBLE = 10  # largest m whose whole double is squared: 25,281 generators, never built
 
 
 def verify_splitting(complex: FilteredComplex) -> SplittingReport:
@@ -154,7 +153,7 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
 def _summand_delta2(report: SplittingReport) -> int:
     if report.trefoil is None:
         raise CFKError("double complex lost its trefoil summand")
-    return 2 * d1_general(tensor(report.trefoil, report.trefoil))
+    return 2 * d1_tensor(report.trefoil, report.trefoil)
 
 
 def _check_route(m: int, via: str) -> None:
@@ -169,7 +168,7 @@ def _check_route(m: int, via: str) -> None:
 def _routes_agree(double: FilteredComplex, report: SplittingReport) -> int:
     """delta(D^2) by the splitting and by the full square, which must agree."""
     fast = _summand_delta2(report)
-    full = 2 * d1_general(tensor(double, double))
+    full = 2 * d1_tensor(double, double)
     if fast != full:
         raise CFKError(
             f"route disagreement: splitting gives {fast}, full tensor gives {full}"
@@ -182,7 +181,8 @@ def delta_double_double(m: int, via: str = "both") -> int:
 
     via="splitting" squares the double's trefoil summand; via="both" (the
     default) also squares the whole double, which takes m <= MAX_SQUARED_DOUBLE,
-    and insists the two routes agree.
+    and insists the two routes agree.  Each d1 is read from the square's
+    factors by d1_tensor; no square is built.
     """
     _check_route(m, via)
     double = build_double_complex(m)

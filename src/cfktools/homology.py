@@ -15,10 +15,18 @@ slice keeps those its rule admits.  The i = 0 column admits k = 0, the
 quotient by the all-negative subcomplex k <= max(0, alexander).  So every
 slice is finite and no truncation is ever needed.  Since an orbit gives at
 most one translate per level, a slice numbers its translates by generator
-position: each level's bits come from one walk of the generators, and all
-its boundary masks from one pass over the arrow triples, an arrow (s, t, u)
-sending U^k s to U^(k+u) t.  Names are read for level 0 of the column, kept
-in name order, for the acyclicity walk and for what is reported.
+position, an arrow (s, t, u) sending U^k s to U^(k+u) t.  The column's
+levels come from one walk of the generators and its masks from one pass over
+the arrow triples; the d1 search walks the arrows out from xi's terms.
+Names are read for level 0 of the column, kept in name order, for the
+acyclicity walk and for what is reported.
+
+d1 of a tensor product is read from its two factors by the Kunneth rule: the
+product's column is the tensor product of the factors' columns, so its
+homology is {0: 1} exactly when theirs are {a: 1} and {-a: 1}, and then the
+product of their classes is the hat class.  The d1 search reads the product's
+gradings and arrows from the factors' at the positions it reaches, so the
+product is never built.
 
 The d1 search is one GF(2) reduction, by three facts about probe n ("is
 U^(n+1) xi a boundary in the quotient at level -2(n+1)?").  The probes share
@@ -29,7 +37,9 @@ L >= t.maslov - 2 * max(0, t.alexander).  Columns out of the quotient add
 nothing, as the filtration sends their boundary into the subcomplex, so the
 n = 0 probe's columns serve every n.  Number the rows that leave first lowest:
 then probe n dies iff the minimum of U xi modulo the column span lies in the
-rows gone by then.
+rows gone by then.  The span is the sum of the spans of the connected parts
+of the row-column graph, and a part that U xi misses adds nothing to the
+minimum, so the search reads only the part that U xi's rows reach.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .errors import CFKError, NotAKnotComplex
-from .filtered import FilteredComplex
+from .filtered import FilteredComplex, tensor
 
 
 @dataclass(frozen=True)
@@ -120,19 +130,25 @@ def hfk_hat_ranks(complex: FilteredComplex) -> dict[tuple[int, int], int]:
     return dict(Counter(zip(alexander, complex._maslov)))
 
 
+def _class_cycle(column: dict[int, tuple[list[int], list[int]]], level: int) -> list[int]:
+    """Positions of a cycle at level that is no boundary, in the level's bit
+    order: the first kernel vector whose coset minimum is not zero."""
+    members, masks = column[level]
+    kernel = gf2.kernel_masks(masks)
+    boundaries = column[level + 1][1] if level + 1 in column else []
+    for rep in gf2.coset_minima(kernel, boundaries):
+        if rep:
+            return [p for bit, p in enumerate(members) if (rep >> bit) & 1]
+    raise NotAKnotComplex(f"no surviving cycle at grading {level}")
+
+
 def _hat_cycle(complex: FilteredComplex) -> list[int]:
     """Positions of the canonical grading-zero cycle's terms, in name order."""
     column = _column(complex)
     ranks = _ranks(column)
     if ranks != {0: 1}:
         raise NotAKnotComplex(f"column homology ranks are {ranks}, expected one class at grading 0")
-    members, masks = column[0]
-    kernel = gf2.kernel_masks(masks)
-    boundaries = column[1][1] if 1 in column else []
-    for rep in gf2.coset_minima(kernel, boundaries):
-        if rep:
-            return [p for bit, p in enumerate(members) if (rep >> bit) & 1]
-    raise NotAKnotComplex("no surviving cycle at grading 0")
+    return _class_cycle(column, 0)
 
 
 def hat_generator(complex: FilteredComplex) -> Cycle:
@@ -142,38 +158,109 @@ def hat_generator(complex: FilteredComplex) -> Cycle:
 
 
 def d1_general(complex: FilteredComplex) -> int:
-    """Correction term of +1 surgery, by the U-power death search.
+    """Correction term of +1 surgery, by the U-power death search."""
+    out, into = complex._neighbours()
+    return _d1(
+        complex._alexander.__getitem__, complex._maslov.__getitem__,
+        out.__getitem__, into.__getitem__, _hat_cycle(complex),
+    )
 
-    Reduces the n = 0 probe (levels -2 and -1) once, each row's bit ranked by
-    how many more U-powers it stays in the quotient.  A zero coset minimum
-    means n = 0; otherwise n is the first probe its leading row has left.
+
+def d1_tensor(c1: FilteredComplex, c2: FilteredComplex) -> int:
+    """d1_general(tensor(c1, c2)), read from the two factors.
+
+    The product's names, arrows and column are never built.  Its position
+    g * len(c2) + h is the pair (g, h), with summed gradings and the arrows
+    (s, h) -> (t, h) of c1's s -> t and (g, s) -> (g, t) of c2's.  Its
+    column is col(c1) (x) col(c2), so by Kunneth its ranks are {0: 1}
+    exactly when the factors' are {a: 1} and {-a: 1}, and the product of
+    grading-a and grading -a cycles that are no boundaries then carries the
+    hat class; d1 reads the class, not the cycle.  Kunneth holds for
+    complexes, whose d² is zero, as validate checks.  Any other pair of
+    ranks is refused in the product's own words.
     """
-    xi = _hat_cycle(complex)  # each term is U^0 g
-    maslov = complex._maslov
+    col1, col2 = _column(c1), _column(c2)
+    ranks1, ranks2 = _ranks(col1), _ranks(col2)
+    level = next(iter(ranks1), 0)
+    if ranks1 != {level: 1} or ranks2 != {-level: 1}:
+        return d1_general(tensor(c1, c2))  # raises NotAKnotComplex in the product's words
+    n2 = len(c2)
+    alexander1, alexander2 = c1._alexander, c2._alexander
+    maslov1, maslov2 = c1._maslov, c2._maslov
+    out1, into1 = c1._neighbours()
+    out2, into2 = c2._neighbours()
+
+    def alexander(p: int) -> int:
+        g, h = divmod(p, n2)
+        return alexander1[g] + alexander2[h]
+
+    def maslov(p: int) -> int:
+        g, h = divmod(p, n2)
+        return maslov1[g] + maslov2[h]
+
+    def out(p: int) -> list[tuple[int, int]]:
+        g, h = divmod(p, n2)
+        return [(t * n2 + h, u) for t, u in out1[g]] + [(p - h + t, u) for t, u in out2[h]]
+
+    def into(p: int) -> list[tuple[int, int]]:
+        g, h = divmod(p, n2)
+        return [(s * n2 + h, u) for s, u in into1[g]] + [(p - h + s, u) for s, u in into2[h]]
+
+    xi = [g * n2 + h for g in _class_cycle(col1, level) for h in _class_cycle(col2, -level)]
+    return _d1(alexander, maslov, out, into, xi)
+
+
+def _d1(alexander, maslov, out, into, xi: list[int]) -> int:
+    """d1 of the complex whose position p has gradings alexander(p) and
+    maslov(p), arrows out(p) and into(p) as (other end, upower) lists, and
+    whose hat class is the sum of the U^0 g, g at grading 0, for g in xi.
+
+    Reduces the part of the n = 0 probe (levels -2 and -1) that U xi's rows
+    reach, once, each row's bit ranked by how many more U-powers it stays in
+    the quotient.  A zero coset minimum means n = 0; otherwise n is the
+    first probe its leading row has left.
+    """
     # U^k g with k = (maslov + 2) // 2 sits at level -2 (a row) or -1 (a
     # column), and stays in the quotient for max(0, alexander) - k more powers
-    power = [(m + 2) >> 1 for m in maslov]
-    stays = [(a if a > 0 else 0) - k for a, k in zip(complex._alexander, power)]
-    kept = [p for p, left in enumerate(stays) if left >= 0]
-    columns = [p for p in kept if maslov[p] & 1]
-    rows = sorted([p for p in kept if not maslov[p] & 1], key=stays.__getitem__)
-    column_bit = [-1] * len(maslov)
-    for bit, p in enumerate(columns):
-        column_bit[p] = bit
-    row_bit = [-1] * len(maslov)
-    for bit, p in enumerate(rows):
-        row_bit[p] = bit
+    power: dict[int, int] = {}
+    stays: dict[int, int] = {}
+
+    def kept(p: int) -> bool:
+        if p not in stays:
+            a, k = alexander(p), (maslov(p) + 2) >> 1
+            power[p] = k
+            stays[p] = (a if a > 0 else 0) - k
+        return stays[p] >= 0
+
+    terms = [p for p in xi if kept(p)]
+    rows = list(terms)
+    seen = set(rows)
+    reach: list[list[int]] = []  # each column's rows
+    for r in rows:  # rows grows as the walk reaches more of them
+        for s, u in into(r):
+            if s in seen or not maslov(s) & 1 or not kept(s) or power[r] != power[s] + u:
+                continue
+            seen.add(s)
+            hits = [
+                t for t, v in out(s)
+                if not maslov(t) & 1 and kept(t) and power[t] == power[s] + v
+            ]
+            reach.append(hits)
+            for t in hits:
+                if t not in seen:
+                    seen.add(t)
+                    rows.append(t)
+    rows.sort(key=lambda p: (stays[p], p))
+    bit = {p: b for b, p in enumerate(rows)}
     target = 0
-    for p in xi:
-        if row_bit[p] >= 0 and power[p] == 1:
-            target |= 1 << row_bit[p]
-    masks = [0] * len(columns)
-    for source, head, upower in complex._arrows:
-        column = column_bit[source]
-        if column >= 0:
-            row = row_bit[head]
-            if row >= 0 and power[head] == power[source] + upower:
-                masks[column] ^= 1 << row
+    for p in terms:
+        target |= 1 << bit[p]
+    masks = []
+    for hits in reach:
+        mask = 0
+        for t in hits:
+            mask ^= 1 << bit[t]
+        masks.append(mask)
     (r,) = gf2.coset_minima([target], masks)
     return -2 * (1 + stays[rows[r.bit_length() - 1]]) if r else 0
 

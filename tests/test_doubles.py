@@ -1,10 +1,13 @@
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import cfktools
 from cfktools import (
+    CFKError,
     InvalidParameter,
     Staircase,
     basis_change,
@@ -22,7 +25,7 @@ from cfktools import (
     validate,
     verify_splitting,
 )
-from cfktools import doubles
+from cfktools import cli, doubles
 from cfktools.doubles import (
     DISTINGUISHABLE,
     INCONCLUSIVE,
@@ -31,6 +34,7 @@ from cfktools.doubles import (
     SPECIAL_CASE,
 )
 
+from .cli_runner import CliRunner
 from .complex_fixtures import plan_respecting_moves
 from .oracles import hfk_hat_double, reference_double_complex
 
@@ -184,6 +188,36 @@ class TestDeltaDoubleDouble:
         for via in ("guess", "full"):
             with pytest.raises(ValueError):
                 delta_double_double(1, via=via)
+
+    def test_squares_nothing(self, monkeypatch):
+        """Both routes take d1 of a square from its factors: neither the API,
+        nor double --delta2, nor classify or its t2 table calls tensor."""
+        calls = []
+
+        def counted(*args, _wrapped=cfktools.tensor):
+            calls.append(args)
+            return _wrapped(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cfktools" and hasattr(module, "tensor"):
+                monkeypatch.setattr(module, "tensor", counted)
+        for m in range(1, 5):
+            assert delta_double_double(m) == -4
+        for m in (1, 2):
+            result = CliRunner().invoke(cli.main, ["double", str(m), "--verify", "--delta2"])
+            assert result.exit_code == 0
+            assert result.stdout.splitlines()[-1] == "delta(D^2)  -4"
+        assert classify_iterates(Staircase((1, 1, 1, 1))).delta_double_double == -4
+        assert CliRunner().invoke(cli.main, ["table", "--family", "t2:4"]).exit_code == 0
+        assert calls == []
+
+    def test_routes_that_disagree_are_refused(self, monkeypatch):
+        monkeypatch.setattr(doubles, "_summand_delta2", lambda report: -8)
+        with pytest.raises(CFKError, match=r"^route disagreement: splitting gives -8, full tensor gives -4$"):
+            delta_double_double(2)
+        result = CliRunner().invoke(cli.main, ["double", "2", "--delta2"])
+        assert result.exit_code == 1
+        assert result.stderr == "Error: route disagreement: splitting gives -8, full tensor gives -4\n"
 
     def test_only_the_full_square_is_capped(self):
         with pytest.raises(InvalidParameter):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cfktools import homology
 from cfktools import (
     AcyclicityReport,
     Arrow,
@@ -19,6 +20,7 @@ from cfktools import (
     BasisChange,
     d1_closed_form,
     d1_general,
+    d1_tensor,
     delta_whitehead,
     from_staircase,
     hat_generator,
@@ -338,6 +340,136 @@ class TestD1Invariance:
         keep = [p for p in parts if is_acyclic(p).verdict == "certified-nonacyclic"]
         assert len(keep) == 1
         assert d1_general(complex) == d1_general(keep[0]) == -2
+
+
+def _shuffled(complex, rng, prefix, alexander=0, maslov=0):
+    """complex with its generators in a random order under fresh names, every
+    grading shifted by alexander and maslov."""
+    gens = list(complex.generators)
+    rng.shuffle(gens)
+    labels = rng.sample(range(1000), len(gens))
+    rename = {g.name: f"{prefix}{label}" for g, label in zip(gens, labels)}
+    return FilteredComplex(
+        [Generator(rename[g.name], g.alexander + alexander, g.maslov + maslov) for g in gens],
+        [Arrow(rename[a.source], rename[a.target], a.upower) for a in complex.arrows],
+    )
+
+
+def _unknot(maslov=0):
+    return FilteredComplex([Generator("o", 0, maslov)], [])
+
+
+def _two_term_class(stair, maslov):
+    """stair's complex, every Maslov grading shifted by maslov, with a
+    cancelling pair t0 -> t1 beside s0 and s0' = s0 + t0: its column class is
+    then s0' + t0, two terms."""
+    c = from_staircase(stair)
+    s0 = c.generator("s0")
+    gens = [Generator(g.name, g.alexander, g.maslov + maslov) for g in c.generators]
+    gens += [Generator("t0", s0.alexander, maslov), Generator("t1", s0.alexander, maslov - 1)]
+    c = FilteredComplex(gens, list(c.arrows) + [Arrow("t0", "t1", 0)])
+    return basis_change(c, BasisChange(x="t0", y="s0"))
+
+
+class TestD1Tensor:
+    """d1_tensor against d1_general of the product that tensor builds."""
+
+    @staticmethod
+    def _check(c1, c2):
+        assert d1_tensor(c1, c2) == d1_general(tensor(c1, c2))
+
+    @given(PALINDROMES, PALINDROMES, st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=60)
+    def test_shuffled_and_renamed_staircase_pairs(self, a, b, rng):
+        self._check(_shuffled(from_staircase(a), rng, "p"), _shuffled(from_staircase(b), rng, "q"))
+
+    @given(
+        PALINDROMES,
+        PALINDROMES,
+        st.integers(-3, 3).filter(bool),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_factors_with_opposite_grading_shifts(self, a, b, shift, up1, up2, rng):
+        """Column ranks {a: 1} and {-a: 1}: neither factor is a knot complex."""
+        c1 = _shuffled(from_staircase(a), rng, "p", up1, shift)
+        c2 = _shuffled(from_staircase(b), rng, "q", up2, -shift)
+        assert hat_homology_ranks(c1) == {shift: 1}
+        assert hat_homology_ranks(c2) == {-shift: 1}
+        for factor in (c1, c2):
+            with pytest.raises(NotAKnotComplex):
+                d1_general(factor)
+        self._check(c1, c2)
+
+    @given(PALINDROMES, PALINDROMES, st.integers(-2, 2), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=40)
+    def test_factors_whose_class_has_two_terms(self, a, b, shift, rng):
+        c1 = _shuffled(_two_term_class(a, shift), rng, "p")
+        c2 = _shuffled(_two_term_class(b, -shift), rng, "q")
+        for c, level in ((c1, shift), (c2, -shift)):
+            assert len(homology._class_cycle(homology._column(c), level)) == 2
+        self._check(c1, c2)
+
+    @given(st.integers(1, 2), st.integers(1, 2), st.data())
+    @settings(deadline=None, max_examples=30)
+    def test_doubles_scrambled_by_legal_basis_changes(self, m, n, data):
+        factors = []
+        for k in (m, n):
+            complex = build_double_complex(k)
+            for move in data.draw(st.lists(st.sampled_from(legal_moves(complex)), max_size=6)):
+                complex = basis_change(complex, move)
+            factors.append(complex)
+        self._check(*factors)
+
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1), PALINDROMES)
+    @settings(deadline=None, max_examples=20)
+    def test_scrambled_doubles_against_staircases(self, m, seed, stair):
+        double, c = scrambled_double(m, seed), from_staircase(stair)
+        self._check(double, c)
+        self._check(c, double)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_double_squares(self, m):
+        double = build_double_complex(m)
+        assert d1_tensor(double, double) == d1_general(tensor(double, double)) == -2
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            (single_box(), from_staircase(Staircase((1, 1)))),
+            (FilteredComplex([Generator("a", 0, 0), Generator("b", 1, 0)], []), _unknot()),
+            (_unknot(1), _unknot(1)),
+            (_unknot(1), _unknot(-2)),
+        ],
+        ids=["acyclic", "rank-two", "one-and-one", "one-and-minus-two"],
+    )
+    def test_refuses_in_the_products_words(self, c1, c2):
+        for left, right in ((c1, c2), (c2, c1)):
+            with pytest.raises(NotAKnotComplex) as product:
+                d1_general(tensor(left, right))
+            with pytest.raises(NotAKnotComplex) as factors:
+                d1_tensor(left, right)
+            assert str(factors.value) == str(product.value)
+
+    def test_builds_no_product(self, monkeypatch):
+        """Only the factors' columns are made, and no complex at all."""
+        double = build_double_complex(4)
+        columns = []
+
+        def column(complex, _wrapped=homology._column):
+            columns.append(len(complex))
+            return _wrapped(complex)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a complex")
+
+        monkeypatch.setattr(homology, "_column", column)
+        monkeypatch.setattr(homology, "tensor", refuse)
+        monkeypatch.setattr(FilteredComplex, "_build", classmethod(refuse))
+        assert d1_tensor(double, double) == -2
+        assert columns == [len(double), len(double)]
 
 
 @st.composite
