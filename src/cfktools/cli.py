@@ -52,7 +52,9 @@ from .staircase import (
 SCHEMA = "cfk-1"
 MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
 MAX_T2_TABLE = 50  # largest M for table --family t2:M
-MAX_TORUS_CONDUCTOR = 10**6  # largest (p-1)(q-1): alexander_torus allocates that many flags
+# largest (p-1)(q-1): the report of T(2, c+1) lists its c+1 Alexander terms and
+# its c+1 vertices, so a report's time and memory grow linearly in c
+MAX_TORUS_CONDUCTOR = 10**6
 MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 
 

@@ -9,12 +9,22 @@ is how symmetrized Alexander-Conway polynomials of torus knots are built:
 
 with S the semigroup of (p, q) and c = (p-1)(q-1) its conductor, then
 recentered by t^(-c/2).  No floating point is used anywhere.
+
+Membership in S up to a bound is one bytearray of flags.  With a < b the
+generators, the least member in each residue class mod a is a multiple
+m*b with m < a, and every later number of that class is a member too; so a
+strided slice assignment from each m*b fills the flags, at most a of them
+however large b is.  Expanding the product above, the coefficient of t^n
+is flag(n) - flag(n - 1): +1 where a run of members starts, -1 where a run
+of gaps starts, and one XOR of the flags with themselves shifted by one
+byte finds every such n at once.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import compress, cycle
 
 from .errors import InvalidTorusParameters
 
@@ -42,16 +52,28 @@ class LaurentPoly:
         self._coeffs = data
 
     @classmethod
+    def _trusted(cls, data: dict[int, int]) -> "LaurentPoly":
+        """Wrap data unchecked: its terms are ints and none is zero."""
+        poly = object.__new__(cls)
+        poly._coeffs = data
+        return poly
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LaurentPoly":
         out: dict[int, int] = {}
         for e, c in pairs:
             _check_ints(e, c)
             out[e] = out.get(e, 0) + c
-        return cls(out)
+        return cls._trusted({e: c for e, c in out.items() if c})
 
     def to_pairs(self) -> list[list[int]]:
         """JSON form: sorted [exponent, coefficient] pairs."""
         return [[e, self._coeffs[e]] for e in sorted(self._coeffs)]
+
+    def sorted_terms(self) -> tuple[list[int], list[int]]:
+        """The exponents in ascending order, and their coefficients."""
+        exponents = sorted(self._coeffs)
+        return exponents, list(map(self._coeffs.__getitem__, exponents))
 
     def __getitem__(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
@@ -74,33 +96,38 @@ class LaurentPoly:
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return LaurentPoly._trusted({e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._trusted({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
+            other = int(other)  # a bool or other int subclass scales as a plain int
+            if not other:
+                return LaurentPoly._trusted({})
+            return LaurentPoly._trusted({e: c * other for e, c in self._coeffs.items()})
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._trusted({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        moved = {e + k: c for e, c in self._coeffs.items()}
+        # any k but an int takes the checked path, which refuses a non-int exponent
+        return LaurentPoly._trusted(moved) if type(k) is int else LaurentPoly(moved)
 
     def mirrored(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
+        return LaurentPoly._trusted({-e: c for e, c in self._coeffs.items()})
 
     def at_one(self) -> int:
         return sum(self._coeffs.values())
@@ -140,31 +167,35 @@ def _check_torus_parameters(p: int, q: int) -> None:
         )
 
 
+def _semigroup_flags(p: int, q: int, bound: int) -> bytearray:
+    """flags[n] is 1 exactly when n <= bound is in the semigroup of (p, q)."""
+    small, large = sorted((p, q))
+    flags = bytearray(bound + 1)
+    ones = memoryview(b"\x01" * (bound // small + 1))
+    for start in range(0, min(small * large, bound + 1), large):
+        flags[start::small] = ones[: (bound - start) // small + 1]
+    return flags
+
+
 def semigroup_elements(p: int, q: int, bound: int) -> list[int]:
     """Members of {a*p + b*q : a, b >= 0} up to and including bound."""
     _check_torus_parameters(p, q)
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    member = [False] * (bound + 1)
-    member[0] = True
-    for n in range(bound + 1):
-        if member[n]:
-            if n + p <= bound:
-                member[n + p] = True
-            if n + q <= bound:
-                member[n + q] = True
-    return [n for n, ok in enumerate(member) if ok]
+    return list(compress(range(bound + 1), _semigroup_flags(p, q, bound)))
 
 
 def alexander_torus(p: int, q: int) -> LaurentPoly:
     """Symmetrized Alexander-Conway polynomial of the (p, q) torus knot."""
     _check_torus_parameters(p, q)
     conductor = (p - 1) * (q - 1)
-    coeffs: dict[int, int] = {conductor: 1}
-    for s in semigroup_elements(p, q, conductor - 1):
-        coeffs[s] = coeffs.get(s, 0) + 1
-        coeffs[s + 1] = coeffs.get(s + 1, 0) - 1
-    return LaurentPoly(coeffs).shifted(-(conductor // 2))
+    flags = int.from_bytes(_semigroup_flags(p, q, conductor), "little")
+    # byte n of edges is nonzero where flag(n) != flag(n - 1); the run that
+    # starts at the conductor never ends below it, so byte c + 1 is dropped
+    edges = (flags ^ (flags << 8)).to_bytes(conductor + 2, "little")
+    half = conductor // 2
+    exponents = compress(range(-half, conductor + 1 - half), edges)
+    return LaurentPoly._trusted(dict(zip(exponents, cycle((1, -1)))))
 
 
 def symmetry_check(poly: LaurentPoly) -> bool:

@@ -19,13 +19,18 @@ pair attains a.i + a.j.  Hence delta(D(K)) = -4 * min over vertices of
 finds the same partner: the bisection lands exactly on the mirror.)
 
 Each Staircase walks its vertices once and keeps them as a tuple;
-vertices() hands out a fresh list copy of it.
+vertices() hands out a fresh list copy of it.  The walk's i coordinates are
+the running sums of the step vector with its downward steps set to 0, and
+since the vector is palindromic its j coordinates are the same list read
+backwards.  tau, d1 and delta(D(K)) read these two lists in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .errors import NotLSpaceForm
@@ -38,6 +43,10 @@ class Vertex(NamedTuple):
     gr: int
 
 
+# builds a Vertex from an (i, j, gr) tuple in C, without the namedtuple's __new__
+_vertex = partial(tuple.__new__, Vertex)
+
+
 @dataclass(frozen=True)
 class Staircase:
     steps: tuple[int, ...] = ()
@@ -45,11 +54,11 @@ class Staircase:
     def __post_init__(self):
         steps = tuple(self.steps)
         object.__setattr__(self, "steps", steps)
-        if any(type(v) is not int for v in steps):
+        if not {int}.issuperset(map(type, steps)):
             raise ValueError(f"staircase step lengths must be int, got {steps!r}")
         if len(steps) % 2:
             raise ValueError("staircase step vector must have even length")
-        if any(v <= 0 for v in steps):
+        if steps and min(steps) <= 0:
             raise ValueError("staircase step lengths must be positive")
         if steps != steps[::-1]:
             raise ValueError("staircase step vector must be palindromic")
@@ -57,19 +66,21 @@ class Staircase:
     def __str__(self) -> str:
         return "St(" + ",".join(str(v) for v in self.steps) + ")"
 
+    # the cached values live in the instance __dict__, outside the fields
+    # that eq and hash read
+
+    @cached_property
+    def _across(self) -> list[int]:
+        """The i coordinate of each vertex, in walk order."""
+        rightward = list(self.steps)
+        rightward[1::2] = [0] * (len(rightward) // 2)
+        return list(accumulate(rightward, initial=0))
+
     @cached_property
     def _walk(self) -> tuple[Vertex, ...]:
-        # kept in the instance __dict__, outside the fields that eq and hash read
-        i, j = 0, sum(self.steps[1::2])
-        out = [Vertex(i, j, 0)]
-        for pos, step in enumerate(self.steps):
-            if pos % 2 == 0:
-                i += step
-            else:
-                j -= step
-            out.append(Vertex(i, j, (pos + 1) % 2))
-        assert j == 0 and i == sum(self.steps[0::2])
-        return tuple(out)
+        across = self._across
+        grades = [0, 1] * (len(self.steps) // 2) + [0]
+        return tuple(map(_vertex, zip(across, reversed(across), grades)))
 
 
 def vertices(stair: Staircase) -> list[Vertex]:
@@ -82,39 +93,48 @@ def vertices(stair: Staircase) -> list[Vertex]:
 
 
 def tau(stair: Staircase) -> int:
-    (height,) = [v.j for v in vertices(stair) if v.i == 0]
-    return height
+    """Height of the i = 0 vertex: the walk starts there, and its j is the last i."""
+    return stair._across[-1]
 
 
 def d1_closed_form(stair: Staircase) -> int:
-    return -2 * min(max(v.i, v.j) for v in vertices(stair))
+    across = stair._across
+    return -2 * min(map(max, across, reversed(across)))
 
 
 def delta_whitehead(stair: Staircase) -> int:
     """-4 * min over ordered vertex pairs of max(i+k, j+l), as -4 * min(i + j)."""
-    return -4 * min(v.i + v.j for v in vertices(stair))
+    across = stair._across
+    return -4 * min(map(add, across, reversed(across)))
 
 
 def alexander_of_staircase(stair: Staircase) -> LaurentPoly:
-    """Alternating-sign polynomial read off the vertex bidegrees."""
-    coeffs: dict[int, int] = {}
-    for v in vertices(stair):
-        coeffs[v.j - v.i] = 1 if v.gr % 2 == 0 else -1
-    return LaurentPoly(coeffs)
+    """Alternating-sign polynomial read off the vertex bidegrees.
+
+    j - i falls strictly along the walk, so no two vertices share an exponent.
+    """
+    across = stair._across
+    exponents = map(sub, reversed(across), across)
+    signs = [1, -1] * (len(stair.steps) // 2) + [1]
+    return LaurentPoly._trusted(dict(zip(exponents, signs)))
+
+
+def _first_difference(a: list[int], b: list[int]) -> int:
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), len(a))
 
 
 def staircase_from_alexander(poly: LaurentPoly) -> Staircase:
     """Steps between consecutive exponents of an alternating +-1 polynomial."""
-    exponents = poly.support()
-    if not exponents or len(exponents) % 2 == 0:
+    exponents, coefficients = poly.sorted_terms()
+    if len(exponents) % 2 == 0:
         raise NotLSpaceForm(f"expected an odd number of terms, got {poly}")
-    for k, e in enumerate(exponents):
-        expected = 1 if k % 2 == 0 else -1
-        if poly[e] != expected:
+    signs = [1, -1] * (len(exponents) // 2) + [1]
+    mirror = list(map(neg, reversed(exponents)))
+    if coefficients != signs or exponents != mirror:
+        # the first term that breaks a rule names it, the sign rule first
+        if _first_difference(coefficients, signs) <= _first_difference(exponents, mirror):
             raise NotLSpaceForm(
                 f"coefficients must alternate +-1 from +1 upward, got {poly}"
             )
-        if e + exponents[len(exponents) - 1 - k] != 0:
-            raise NotLSpaceForm(f"exponents must be symmetric about 0, got {poly}")
-    steps = tuple(b - a for a, b in zip(exponents, exponents[1:]))
-    return Staircase(steps)
+        raise NotLSpaceForm(f"exponents must be symmetric about 0, got {poly}")
+    return Staircase(tuple(map(sub, exponents[1:], exponents)))

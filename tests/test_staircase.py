@@ -17,7 +17,7 @@ from cfktools import (
     vertices,
 )
 
-from .oracles import reference_delta_whitehead
+from .oracles import _walk, reference_delta_whitehead
 
 UNKNOT = Staircase(())
 TREFOIL = Staircase((1, 1))
@@ -41,6 +41,47 @@ def test_invalid_step_vectors(steps):
 def test_non_int_steps_are_refused_not_truncated(steps):
     with pytest.raises(ValueError, match="must be int"):
         Staircase(steps)
+
+
+@pytest.mark.parametrize(
+    "steps,message",
+    [
+        ((1.5, 0), "staircase step lengths must be int, got (1.5, 0)"),
+        ((0, "1"), "staircase step lengths must be int, got (0, '1')"),
+        ((1, 2, 3), "staircase step vector must have even length"),
+        ((0, 1, 2), "staircase step vector must have even length"),
+        ((0, 1), "staircase step lengths must be positive"),
+        ((2, -1, 1, 2), "staircase step lengths must be positive"),
+        ((1, 2), "staircase step vector must be palindromic"),
+    ],
+)
+def test_the_first_broken_rule_names_the_refusal(steps, message):
+    # rules are tried in order: int, even length, positive, palindromic
+    with pytest.raises(ValueError) as caught:
+        Staircase(steps)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "coeffs,rule",
+    [
+        # an even count is refused before any sign or exponent is read
+        ({0: 1, 1: 1}, "expected an odd number of terms"),
+        ({-2: -1, 5: 1}, "expected an odd number of terms"),
+        # both rules broken: the first term that breaks one names it
+        ({-1: 1, 0: 1, 2: 1}, "exponents must be symmetric about 0"),
+        ({-1: 1, 0: -1, 2: -1}, "exponents must be symmetric about 0"),
+        ({-4: 1, -3: 1, -2: -1, 0: 1, 1: -1, 3: -1, 4: 1},
+         "coefficients must alternate +-1 from +1 upward"),
+        # at one term the sign rule comes first
+        ({-2: -1, 0: 1, 1: 1}, "coefficients must alternate +-1 from +1 upward"),
+    ],
+)
+def test_from_alexander_names_the_first_broken_rule(coeffs, rule):
+    poly = LaurentPoly(coeffs)
+    with pytest.raises(NotLSpaceForm) as caught:
+        staircase_from_alexander(poly)
+    assert str(caught.value) == f"{rule}, got {poly}"
 
 
 def test_from_alexander_examples():
@@ -111,6 +152,17 @@ def test_delta_whitehead_matches_pair_loop_on_torus_knots(q):
         if math.gcd(p, q) == 1:
             stair = staircase_from_alexander(alexander_torus(p, q))
             assert delta_whitehead(stair) == reference_delta_whitehead(stair), (p, q)
+
+
+@given(st.just(UNKNOT) | palindromes)
+def test_closed_forms_match_the_walk_oracle(stair):
+    walk = _walk(stair)
+    assert vertices(stair) == walk
+    assert all(type(v) is Vertex for v in vertices(stair))
+    (height,) = [v.j for v in walk if v.i == 0]
+    assert tau(stair) == height
+    assert d1_closed_form(stair) == -2 * min(max(v.i, v.j) for v in walk)
+    assert delta_whitehead(stair) == reference_delta_whitehead(stair)
 
 
 def test_vertices_returns_a_fresh_list():
