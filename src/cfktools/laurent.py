@@ -190,8 +190,8 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
     _check_torus_parameters(p, q)
     conductor = (p - 1) * (q - 1)
     flags = int.from_bytes(_semigroup_flags(p, q, conductor), "little")
-    # byte n of edges is nonzero where flag(n) != flag(n - 1); the run that
-    # starts at the conductor never ends below it, so byte c + 1 is dropped
+    # byte n of edges is nonzero where flag(n) != flag(n - 1), where a run of
+    # members or of gaps starts; byte c + 1 ends the last run and lies past the range
     edges = (flags ^ (flags << 8)).to_bytes(conductor + 2, "little")
     half = conductor // 2
     exponents = compress(range(-half, conductor + 1 - half), edges)
