@@ -137,9 +137,10 @@ def _torus_staircase(p: int, q: int) -> Staircase:
     return staircase_from_alexander(_torus_alexander(p, q))
 
 
-def _torus_report(p: int, q: int) -> dict:
+def _torus_knot(p: int, q: int) -> tuple[str, Staircase, LaurentPoly]:
+    """The name, staircase and Alexander polynomial of T(p, q)."""
     poly = _torus_alexander(p, q)
-    return _knot_report(f"T({p},{q})", staircase_from_alexander(poly), poly)
+    return f"T({p},{q})", staircase_from_alexander(poly), poly
 
 
 def _load_complex(path: str) -> FilteredComplex:
@@ -161,20 +162,29 @@ def _load_complex(path: str) -> FilteredComplex:
     return complex
 
 
-def _knot_report(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> dict:
-    """The invariants of stair; poly is its Alexander polynomial if the caller has it."""
+def _knot_row(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> dict:
+    """The invariants of stair that a table row prints, in its column order;
+    poly is its Alexander polynomial if the caller has it."""
     if poly is None:
         poly = alexander_of_staircase(stair)
     return {
         "knot": knot,
-        "alexander": str(poly),
-        "alexander_pairs": poly.to_pairs(),
         "steps": list(stair.steps),
-        "vertices": [{"i": v.i, "j": v.j, "gr": v.gr} for v in vertices(stair)],
+        "alexander": str(poly),
         "tau": tau(stair),
         "d1": d1_closed_form(stair),
         "delta_whitehead": delta_whitehead(stair),
     }
+
+
+def _knot_report(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> dict:
+    """A table row's invariants of stair, with its Alexander terms and its vertices."""
+    if poly is None:
+        poly = alexander_of_staircase(stair)
+    report = _knot_row(knot, stair, poly)
+    report["alexander_pairs"] = poly.to_pairs()
+    report["vertices"] = [{"i": v.i, "j": v.j, "gr": v.gr} for v in vertices(stair)]
+    return report
 
 
 _SCALARS = frozenset({str, int, bool, type(None)})
@@ -189,10 +199,13 @@ def _dumps(document) -> str:
 
     With indent set, json.dumps runs its pure-Python encoder.  Here each leaf
     container (a dict with str keys, or a list, whose values are all exactly
-    str, int, bool or None) and each list of non-empty leaf containers of one
-    type is one call of the C encoder, whose item separator carries the
-    newline and indentation; only the containers above them recurse in
-    Python.  Any other value sends the whole document to json.dumps.
+    str, int, bool or None) is one call of the C encoder, whose item
+    separator carries the newline and indentation.  Each list of int
+    records (non-empty dicts with one set of str keys, or non-empty lists of
+    one length, whose values are all exactly int) is one % format call: one
+    item's template, repeated once per item, applied to every value in
+    order.  Only the containers above these recurse in Python.  Any other
+    value sends the whole document to json.dumps.
     """
     try:
         return _encode(document, "\n")
@@ -218,39 +231,53 @@ def _encode(value, newline: str) -> str:
     if _SCALARS.issuperset(map(type, values)):
         text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
         return text[0] + inner + text[1:-1] + newline + text[-1]
-    element = _leaf_type(value) if kind is list else None
-    if element is not None:
-        # An encoded string holds no raw newline, so "," + indent is always an
-        # item separator; inside a leaf one sits between a scalar's last
-        # character and a key or scalar, never next to a bracket.  So only the
-        # boundaries between elements hold "}," or "]," + separator + "{" or "[".
-        deeper = inner + "  "
-        text = json.dumps(value, sort_keys=True, separators=("," + deeper, ": "))
-        close, open_ = ("}", "{") if element is dict else ("]", "[")
-        body = text[2:-2].replace(close + "," + deeper + open_,
-                                  inner + close + "," + inner + open_ + deeper)
-        return "[" + inner + open_ + deeper + body + inner + close + newline + "]"
     if kind is dict:
         items = [json.dumps(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    items = [_encode(item, inner) for item in value]
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _lines(items, "{", "}", newline)
+    records = _int_records(value, newline)
+    if records is not None:
+        return records
+    return _lines([_encode(item, inner) for item in value], "[", "]", newline)
 
 
-def _leaf_type(items: list):
-    """dict or list if items are non-empty leaf containers of that one type, else None."""
-    kinds = set(map(type, items))
-    if kinds == {dict}:
-        if set(map(type, chain.from_iterable(items))) != {str}:
+def _lines(items: list[str], open_: str, close: str, newline: str) -> str:
+    """The items of a container, each on its own line one level below
+    newline, between its brackets; the first and last items are replaced."""
+    inner = newline + "  "
+    # the brackets go onto the first and last items, so that the whole
+    # container's text is built once, by the join
+    items[0] = open_ + inner + items[0]
+    items[-1] += newline + close
+    return ("," + inner).join(items)
+
+
+def _int_records(items: list, newline: str) -> str | None:
+    """items as _encode prints them, one % format call on one item's
+    template repeated once per item, if they are int records; else None."""
+    first = items[0]
+    kind = type(first)
+    if (kind is not dict and kind is not list) or not first:
+        return None
+    if set(map(type, items)) != {kind} or set(map(len, items)) != {len(first)}:
+        return None
+    inner = newline + "  "
+    if kind is list:
+        template = _lines(["%d"] * len(first), "[", "]", inner)
+        fields = tuple(chain.from_iterable(items))
+    elif set(map(type, first)) == {str}:
+        keys = sorted(first)
+        try:  # an item of len(keys) keys that has all of keys has no other
+            fields = tuple([item[key] for item in items for key in keys])
+        except KeyError:
             return None
-        values = chain.from_iterable(map(dict.values, items))
-    elif kinds == {list}:
-        values = chain.from_iterable(items)
+        # a % in a key is literal text in the template
+        labels = [json.dumps(key).replace("%", "%%") + ": %d" for key in keys]
+        template = _lines(labels, "{", "}", inner)
     else:
         return None
-    if all(items) and _SCALARS.issuperset(map(type, values)):
-        return kinds.pop()
-    return None
+    if set(map(type, fields)) != {int}:
+        return None
+    return _lines([template] * len(items), "[", "]", newline) % fields
 
 
 def _emit(args: argparse.Namespace, payload: dict, text) -> str:
@@ -277,7 +304,7 @@ def _report_text(report: dict) -> str:
 
 def _torus(args: argparse.Namespace) -> str:
     """Invariant report for the (P, Q) torus knot."""
-    return _emit(args, _torus_report(args.p, args.q), _report_text)
+    return _emit(args, _knot_report(*_torus_knot(args.p, args.q)), _report_text)
 
 
 def _staircase(args: argparse.Namespace) -> str:
@@ -289,8 +316,6 @@ def _staircase(args: argparse.Namespace) -> str:
 def _double(args: argparse.Namespace) -> str:
     """Build the double of T(2, 2M+1) and report on it."""
     m = args.m
-    if args.delta2:  # first, so that a size cap rejects M before anything is built
-        doubles._check_route(m, "both")
     complex = build_double_complex(m)
     report: dict = {
         "knot": f"D(T(2,{2 * m + 1}))",
@@ -437,7 +462,8 @@ def _diagram_complex(args: argparse.Namespace) -> str:
     return _write_svg(_complex_svg(complex, args.tensor_square), args.path)
 
 
-def _family_rows(family: str) -> tuple[list[str], list[dict]]:
+def _family_rows(family: str) -> list[dict]:
+    """The family's table rows, each holding its columns in order."""
     kind, _, arg = family.partition(":")
     try:
         limit = _strict_int(arg)
@@ -452,49 +478,33 @@ def _family_rows(family: str) -> tuple[list[str], list[dict]]:
         for q in range(3, limit + 1):
             for p in range(2, q):
                 if math.gcd(p, q) == 1:
-                    rows.append(_torus_report(p, q))
-        header = ["knot", "steps", "alexander", "tau", "d1", "delta_whitehead"]
+                    rows.append(_knot_row(*_torus_knot(p, q)))
     elif kind == "t2":
         if limit > MAX_T2_TABLE:
             raise UsageError(f"t2:M takes M <= {MAX_T2_TABLE}, got {limit}")
         for m in range(1, limit + 1):
             stair = Staircase((1,) * (2 * m))
-            report = _knot_report(f"T(2,{2 * m + 1})", stair)
-            report["delta_double_double"] = delta_double_double(m, via="splitting")
-            rows.append(report)
-        header = [
-            "knot",
-            "steps",
-            "alexander",
-            "tau",
-            "d1",
-            "delta_whitehead",
-            "delta_double_double",
-        ]
+            row = _knot_row(f"T(2,{2 * m + 1})", stair)
+            row["delta_double_double"] = delta_double_double(m, via="splitting")
+            rows.append(row)
     else:
         raise UsageError(f"unknown family kind {kind!r}: expected torus or t2")
     if not rows:
         raise UsageError(f"family {family!r} is empty")
-    return header, rows
+    return rows
 
 
 def _table(args: argparse.Namespace) -> str:
     """Batch invariant table for a knot family."""
-    header, rows = _family_rows(args.family)
+    rows = _family_rows(args.family)
     if args.json or args.fmt == "json":
-        document = {
-            "schema": SCHEMA,
-            "family": args.family,
-            "rows": [{k: row[k] for k in header} for row in rows],
-        }
-        return _dumps(document) + "\n"
+        return _dumps({"schema": SCHEMA, "family": args.family, "rows": rows}) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow(
-            [",".join(str(s) for s in row[k]) if k == "steps" else row[k] for k in header]
-        )
+        row["steps"] = ",".join(map(str, row["steps"]))
+    writer.writerows(map(dict.values, rows))
     return buffer.getvalue()
 
 

@@ -118,8 +118,6 @@ class SplittingReport:
 
 _TREFOIL_MODEL = from_staircase(Staircase((1, 1)))
 
-MAX_SQUARED_DOUBLE = 10  # largest m whose whole double is squared: 25,281 generators, never built
-
 
 def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     """Split into components; find a trefoil summand, certify the rest acyclic.
@@ -156,15 +154,6 @@ def _summand_delta2(report: SplittingReport) -> int:
     return 2 * d1_tensor(report.trefoil, report.trefoil)
 
 
-def _check_route(m: int, via: str) -> None:
-    """Refuse a bad m or route, and a full square above MAX_SQUARED_DOUBLE."""
-    _check_m(m)
-    if via not in ("both", "splitting"):
-        raise ValueError(f"unknown route {via!r}")
-    if via == "both" and m > MAX_SQUARED_DOUBLE:
-        raise InvalidParameter(f"the full square needs m <= {MAX_SQUARED_DOUBLE}, got {m}")
-
-
 def _routes_agree(double: FilteredComplex, report: SplittingReport) -> int:
     """delta(D^2) by the splitting and by the full square, which must agree."""
     fast = _summand_delta2(report)
@@ -180,11 +169,13 @@ def delta_double_double(m: int, via: str = "both") -> int:
     """delta of the second iterated double, as twice the tensor-square d1.
 
     via="splitting" squares the double's trefoil summand; via="both" (the
-    default) also squares the whole double, which takes m <= MAX_SQUARED_DOUBLE,
-    and insists the two routes agree.  Each d1 is read from the square's
-    factors by d1_tensor; no square is built.
+    default) also squares the whole double and insists the two routes agree.
+    Both take every m that build_double_complex does.  Each d1 is read from
+    the square's factors by d1_tensor; no square is built.
     """
-    _check_route(m, via)
+    _check_m(m)
+    if via not in ("both", "splitting"):
+        raise ValueError(f"unknown route {via!r}")
     double = build_double_complex(m)
     report = verify_splitting(double)
     if via == "splitting":

@@ -135,24 +135,16 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        parts: list[str] = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
-            if e == 0:
-                mon = ""
-            elif e == 1:
-                mon = "t"
-            else:
-                mon = f"t^{e}"
-            if mon:
-                body = mon if abs(c) == 1 else f"{abs(c)}{mon}"
-            else:
-                body = str(abs(c))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        # every term as "+ body" or "- body", a unit coefficient and the
+        # exponents 0 and 1 left unwritten; the first term then drops its "+ "
+        text = " ".join([
+            (f"+ t^{e}" if c == 1 else f"- t^{e}" if c == -1
+             else f"+ {c}t^{e}" if c > 0 else f"- {-c}t^{e}")
+            if e not in (0, 1) else (f"+ {c}" if c > 0 else f"- {-c}") if e == 0
+            else ("+ t" if c == 1 else "- t" if c == -1 else f"+ {c}t" if c > 0 else f"- {-c}t")
+            for e, c in sorted(self._coeffs.items())
+        ])
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     __repr__ = __str__
 

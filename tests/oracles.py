@@ -2,6 +2,7 @@
 
 Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
+Laurent polynomial's text written term by term, a
 set-based component search that builds only the library's data type, the
 tensor product over generator names, the O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
 walk of the step vector, the double's HFK-hat ranks by generator family, a
@@ -77,6 +78,30 @@ def torus_alexander_by_division(p: int, q: int) -> list[tuple[int, int]]:
     quotient = poly_divide_exact(num, den)
     shift = (p - 1) * (q - 1) // 2
     return [(e - shift, c) for e, c in enumerate(quotient) if c]
+
+
+def poly_string(coeffs: dict[int, int]) -> str:
+    """The text of the Laurent polynomial with these nonzero terms, one term at a time."""
+    if not coeffs:
+        return "0"
+    parts: list[str] = []
+    for e in sorted(coeffs):
+        c = coeffs[e]
+        if e == 0:
+            mon = ""
+        elif e == 1:
+            mon = "t"
+        else:
+            mon = f"t^{e}"
+        if mon:
+            body = mon if abs(c) == 1 else f"{abs(c)}{mon}"
+        else:
+            body = str(abs(c))
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 def brute_solve_gf2(rows: list[list[int]], rhs: list[int]) -> list[int] | None:

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfktools import (
     CFKError,
@@ -146,15 +146,14 @@ class TestDouble:
         assert "Error: the double needs m <= 200, got 201\n" in result.output
         assert not (tmp_path / "out.svg").exists()
 
-    def test_square_of_a_double_above_the_cap_is_usage_error(self, runner, monkeypatch):
-        def refuse(m):
-            raise AssertionError("built a double")
-
-        monkeypatch.setattr(cli, "build_double_complex", refuse)
-        monkeypatch.setattr(doubles, "build_double_complex", refuse)
+    def test_square_of_a_double_above_the_cap_is_usage_error(self, runner):
+        """--delta2 takes every m whose double is built, and only those."""
         result = runner.invoke(main, ["double", "11", "--delta2"])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[-1] == "delta(D^2)  -4"
+        result = runner.invoke(main, ["double", "201", "--delta2"])
         assert result.exit_code == 2
-        assert "Error: the full square needs m <= 10, got 11\n" in result.output
+        assert "Error: the double needs m <= 200, got 201\n" in result.output
 
     @pytest.mark.parametrize("flags", [["--verify", "--delta2"], ["--delta2"], ["--verify"]])
     def test_builds_and_splits_the_double_once(self, runner, monkeypatch, flags):
@@ -218,7 +217,7 @@ class TestD1Command:
 
 
 # characters that could confuse the encoder's bracket and separator handling
-_TEXT = st.text(st.sampled_from(list('{}[],:"\\\n\t\x00é☃\ud800 a0')), max_size=6)
+_TEXT = st.text(st.sampled_from(list('{}[],:"\\\n\t\x00é☃\ud800 a0%d')), max_size=6)
 _SCALAR = (
     _TEXT
     | st.integers()
@@ -227,6 +226,20 @@ _SCALAR = (
     | st.none()
 )
 _LEAF = st.dictionaries(_TEXT, _SCALAR, max_size=3) | st.lists(_SCALAR, max_size=3)
+_INT = st.integers() | st.integers(min_value=-(2**100), max_value=2**100) | st.just(2**100)
+# values that keep a list of records off the int-record path
+_ODD = st.sampled_from([True, False, None, 1.5, "7"])
+
+
+def _records(keys, values):
+    """Lists of dicts on one set of n keys, or of lists of n values, for one n <= 3."""
+    return st.integers(0, 3).flatmap(lambda n: (
+        st.lists(st.lists(values, min_size=n, max_size=n), max_size=4)
+        | st.lists(keys, min_size=n, max_size=n, unique=True).flatmap(
+            lambda names: st.lists(st.fixed_dictionaries(dict.fromkeys(names, values)), max_size=4))
+    ))
+
+
 _DOCUMENT = st.recursive(
     _SCALAR | st.floats(),
     lambda children: (
@@ -234,9 +247,14 @@ _DOCUMENT = st.recursive(
         | st.dictionaries(_TEXT, children, max_size=4)
         | st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=3), max_size=4)
         | st.lists(st.lists(_SCALAR, max_size=3), max_size=4)
+        | _records(_TEXT, _INT)
+        | _records(_TEXT, _INT | _ODD)
+        # ragged: two lists of records, each on its own key set or length
+        | st.tuples(_records(_TEXT, _INT), _records(_TEXT, _INT)).map(lambda pair: pair[0] + pair[1])
         # routes that must fall back to json.dumps whole
         | st.lists(children, max_size=3).map(tuple)
         | st.dictionaries(st.integers(), children, max_size=3)
+        | _records(st.integers(), _INT)  # its lists of lists do not fall back
         | st.lists(_LEAF, max_size=3).map(lambda items: items + [1.5])
     ),
     max_leaves=20,
@@ -246,6 +264,10 @@ _DOCUMENT = st.recursive(
 class TestDumps:
     @settings(deadline=None, max_examples=400)
     @given(_DOCUMENT)
+    # records whose keys hold % or come in another order, and near-records
+    @example({"a": [{"%d": 1, "b": 2}, {"b": -3, "%d": 2**100}], "b": [{"a": 1}, {"b": 1}],
+              "c": [[1, 2], [3]], "d": [{}, {}], "e": [[], []], "f": [{"a": True}, {"a": 1}],
+              "g": [[1, 2], [3, 4.0]], "h": [[1], [None]]})
     def test_matches_json_dumps(self, document):
         assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
 

@@ -30,7 +30,6 @@ from cfktools.doubles import (
     DISTINGUISHABLE,
     INCONCLUSIVE,
     MAX_DOUBLE,
-    MAX_SQUARED_DOUBLE,
     SPECIAL_CASE,
 )
 
@@ -219,10 +218,13 @@ class TestDeltaDoubleDouble:
         assert result.exit_code == 1
         assert result.stderr == "Error: route disagreement: splitting gives -8, full tensor gives -4\n"
 
-    def test_only_the_full_square_is_capped(self):
-        with pytest.raises(InvalidParameter):
-            delta_double_double(MAX_SQUARED_DOUBLE + 1, via="both")
-        assert delta_double_double(MAX_SQUARED_DOUBLE + 1, via="splitting") == -4
+    def test_both_routes_take_every_built_double(self):
+        for m in (11, MAX_DOUBLE):
+            assert delta_double_double(m, via="both") == -4
+            assert delta_double_double(m, via="splitting") == -4
+        for via in ("both", "splitting"):
+            with pytest.raises(InvalidParameter, match=r"^the double needs m <= 200, got 201$"):
+                delta_double_double(MAX_DOUBLE + 1, via=via)
 
 
 class TestClassify:

@@ -14,7 +14,7 @@ from cfktools import (
     symmetry_check,
 )
 
-from .oracles import brute_semigroup, torus_alexander_by_division
+from .oracles import brute_semigroup, poly_string, torus_alexander_by_division
 
 COPRIME_PAIRS = [
     (p, q) for q in range(3, 13) for p in range(2, q) if math.gcd(p, q) == 1
@@ -122,6 +122,19 @@ def test_poly_string_form():
     assert str(alexander_torus(3, 4)) == "t^-3 - t^-2 + 1 - t^2 + t^3"
     assert str(LaurentPoly({})) == "0"
     assert str(LaurentPoly({1: 1, 0: -1})) == "-1 + t"
+
+
+_EXPONENT = st.sampled_from([-1, 0, 1]) | st.integers(-50, 50) | st.integers(-(10**30), 10**30)
+_COEFFICIENT = (
+    st.sampled_from([1, -1])
+    | st.integers(-50, 50).filter(bool)
+    | st.integers(-(10**40), 10**40).filter(bool)
+)
+
+
+@given(st.dictionaries(_EXPONENT, _COEFFICIENT, max_size=6))
+def test_poly_string_matches_the_term_by_term_oracle(coeffs):
+    assert str(LaurentPoly(coeffs)) == poly_string(coeffs)
 
 
 def test_poly_json_pairs_round_trip():
