@@ -125,21 +125,13 @@ def _parse_staircase(text: str) -> Staircase:
         raise UsageError(f"malformed staircase vector {text!r}: {exc}")
 
 
-def _torus_alexander(p: int, q: int) -> LaurentPoly:
+def _torus_knot(p: int, q: int) -> tuple[str, Staircase, LaurentPoly]:
+    """The name, staircase and Alexander polynomial of T(p, q)."""
     conductor = (p - 1) * (q - 1)
     # parameters below 2 are left to alexander_torus, whose message names them
     if p >= 2 and q >= 2 and conductor > MAX_TORUS_CONDUCTOR:
         raise InvalidParameter(f"T(p,q) needs (p-1)(q-1) <= {MAX_TORUS_CONDUCTOR}, got {conductor}")
-    return alexander_torus(p, q)
-
-
-def _torus_staircase(p: int, q: int) -> Staircase:
-    return staircase_from_alexander(_torus_alexander(p, q))
-
-
-def _torus_knot(p: int, q: int) -> tuple[str, Staircase, LaurentPoly]:
-    """The name, staircase and Alexander polynomial of T(p, q)."""
-    poly = _torus_alexander(p, q)
+    poly = alexander_torus(p, q)
     return f"T({p},{q})", staircase_from_alexander(poly), poly
 
 
@@ -397,7 +389,8 @@ def _classify_text(report: dict) -> str:
 
 def _classify_torus(args: argparse.Namespace) -> str:
     """Classify the double of the (P, Q) torus knot."""
-    return _classify(args, f"T({args.p},{args.q})", _torus_staircase(args.p, args.q))
+    knot, stair, _ = _torus_knot(args.p, args.q)
+    return _classify(args, knot, stair)
 
 
 def _classify_staircase(args: argparse.Namespace) -> str:
@@ -441,7 +434,7 @@ def _write_svg(document: str, path: str) -> str:
 
 def _diagram_torus(args: argparse.Namespace) -> str:
     """Diagram of the (P, Q) torus knot complex."""
-    stair = _torus_staircase(args.p, args.q)
+    stair = _torus_knot(args.p, args.q)[1]
     return _write_svg(_staircase_svg(stair, args.tensor_square), args.path)
 
 

@@ -2,9 +2,12 @@
 
 Builds the full complex of the positively-clasped untwisted double in its
 diagonal-free normal form, checks that it splits as one three-generator
-staircase summand plus acyclic boxes, computes the second-iterate invariant
-as d1 of the tensor square, taken from its two factors so that the square is
-never built, and runs the distinguishability test for iterated doubles.
+summand, read back as the trefoil's staircase, plus acyclic boxes, and runs
+the distinguishability test for iterated doubles.  The second-iterate
+invariant delta(D^2) is the staircase closed form delta(D(T(2,3))) of that
+summand; the full route takes it as twice d1 of the whole double's tensor
+square, read from the square's two factors so that the square is never
+built.
 
 Generator families and their (alexander, maslov) gradings, for p = 1..m:
 
@@ -22,12 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CFKError, InvalidParameter
-from .filtered import (
-    FilteredComplex,
-    _components,
-    from_staircase,
-    isomorphic_up_to_shift,
-)
+from .filtered import FilteredComplex, _components, _staircase_of
 from .homology import d1_tensor, is_acyclic
 from .staircase import Staircase, delta_whitehead, tau
 
@@ -116,22 +114,23 @@ class SplittingReport:
         }
 
 
-_TREFOIL_MODEL = from_staircase(Staircase((1, 1)))
+_TREFOIL = Staircase((1, 1))
 
 
 def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     """Split into components; find a trefoil summand, certify the rest acyclic.
 
-    Identification is by isomorphism search over grading and U-power shifts,
-    never by generator names.  Only the three-generator components are built
-    as complexes, to be compared with the trefoil.
+    A three-generator component is the trefoil summand when it reads back as
+    the staircase St(1,1) up to a constant shift of each grading, never by
+    generator names: its walk runs in falling Alexander order and its arrows
+    match the staircase's.  Only those components are built as complexes.
     """
     parts = _components(complex)
     trefoil_index, trefoil, rest = None, None, complex
     for idx, part in enumerate(parts):
         if len(part) == 3:
             comp = complex._subcomplex(part)
-            if isomorphic_up_to_shift(comp, _TREFOIL_MODEL):
+            if _staircase_of(comp) == _TREFOIL:
                 trefoil_index, trefoil = idx, comp
                 drop = set(part)
                 keep = [p for p in range(len(complex)) if p not in drop]
@@ -149,9 +148,11 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
 
 
 def _summand_delta2(report: SplittingReport) -> int:
+    """delta(D^2) = 2 d1 of the trefoil summand's square, which the closed
+    form delta(D(T(2,3))) gives; the acyclic rest adds nothing."""
     if report.trefoil is None:
         raise CFKError("double complex lost its trefoil summand")
-    return 2 * d1_tensor(report.trefoil, report.trefoil)
+    return delta_whitehead(_TREFOIL)
 
 
 def _routes_agree(double: FilteredComplex, report: SplittingReport) -> int:
@@ -168,10 +169,11 @@ def _routes_agree(double: FilteredComplex, report: SplittingReport) -> int:
 def delta_double_double(m: int, via: str = "both") -> int:
     """delta of the second iterated double, as twice the tensor-square d1.
 
-    via="splitting" squares the double's trefoil summand; via="both" (the
-    default) also squares the whole double and insists the two routes agree.
-    Both take every m that build_double_complex does.  Each d1 is read from
-    the square's factors by d1_tensor; no square is built.
+    via="splitting" applies the staircase closed form to the double's trefoil
+    summand; via="both" (the default) also squares the whole double and
+    insists the two routes agree.  Both take every m that build_double_complex
+    does.  The full route reads d1 from the square's factors by d1_tensor; no
+    square is built.
     """
     _check_m(m)
     if via not in ("both", "splitting"):
@@ -218,7 +220,8 @@ def classify_iterates(stair: Staircase) -> ClassificationReport:
     """Can the double and its iterates be told apart in smooth concordance?
 
     DISTINGUISHABLE when |delta(D(K))| exceeds 8, the slice-genus ceiling for
-    every later iterate.  Below it, a two-strand knot's double is squared:
+    every later iterate.  Below it, a two-strand knot's double is split and
+    its second-iterate delta read from the trefoil summand:
     SPECIAL-CASE-DISTINGUISHABLE when the computed second-iterate delta
     differs from the first, INCONCLUSIVE when they coincide.  Everything
     else is INCONCLUSIVE.

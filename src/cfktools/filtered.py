@@ -28,8 +28,8 @@ only where they decide what is printed or chosen:
   cycle's coset minimum reads, and the acyclicity walk, which runs in name
   order.
 
-The named views (generators, arrows, generator(name)) of a complex built
-from positions are made when first read.  Names come in only where a
+The named views (generators, arrows, generator(name)) of every complex are
+made from positions when first read.  Names come in only where a
 complex is built by name (the constructor, with_arrows, tensor of factors
 whose names hold a '*', and complex_from_json_dict), and each refuses a
 repeated name or an arrow whose end names no generator with a CFKError in
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 from . import gf2
@@ -84,22 +83,22 @@ class FilteredComplex:
     def __init__(self, generators, arrows):
         gens = tuple(generators)
         names, alexander, maslov = zip(*gens) if gens else ((), (), ())
-        view = frozenset(arrows)
+        # _positions reads the arrows twice when one has a loose end
+        arrows = frozenset(arrows)
         index = _index_of(names)
-        arrows = _positions(names, index, view)
-        _fill(self, names, alexander, maslov, arrows, gens, view, index)
+        _fill(self, names, alexander, maslov, _positions(names, index, arrows), index)
 
     @classmethod
-    def _build(cls, names, alexander, maslov, arrows, index=None, generators=None):
+    def _build(cls, names, alexander, maslov, arrows, index=None):
         """A complex from its positional fields; arrows is a frozenset of triples."""
         complex = object.__new__(cls)
-        _fill(complex, names, alexander, maslov, arrows, generators, None, index)
+        _fill(complex, names, alexander, maslov, arrows, index)
         return complex
 
     def _with(self, arrows) -> "FilteredComplex":
         """These generators with the arrow triples arrows."""
         return FilteredComplex._build(
-            self._names, self._alexander, self._maslov, arrows, self._index, self._generators
+            self._names, self._alexander, self._maslov, arrows, self._index
         )
 
     def __setattr__(self, *_):
@@ -166,10 +165,7 @@ class FilteredComplex:
         return list(self._names)
 
     def with_arrows(self, arrows) -> "FilteredComplex":
-        view = frozenset(arrows)
-        complex = self._with(_positions(self._names, self._lookup(), view))
-        _set(complex, "_arrow_view", view)
-        return complex
+        return self._with(_positions(self._names, self._lookup(), frozenset(arrows)))
 
     def _key(self) -> tuple:
         return (self._names, self._alexander, self._maslov, self._arrows)
@@ -189,13 +185,13 @@ class FilteredComplex:
 _set = object.__setattr__
 
 
-def _fill(complex, names, alexander, maslov, arrows, generators, view, index) -> None:
+def _fill(complex, names, alexander, maslov, arrows, index) -> None:
     _set(complex, "_names", names)
     _set(complex, "_alexander", alexander)
     _set(complex, "_maslov", maslov)
     _set(complex, "_arrows", arrows)
-    _set(complex, "_generators", generators)
-    _set(complex, "_arrow_view", view)
+    _set(complex, "_generators", None)
+    _set(complex, "_arrow_view", None)
     _set(complex, "_index", index)
     _set(complex, "_adjacency", None)
 
@@ -282,6 +278,31 @@ def from_staircase(stair: Staircase) -> FilteredComplex:
         tuple(v.gr - 2 * v.i for v in vs),
         frozenset(arrows),
     )
+
+
+def _staircase_of(complex: FilteredComplex) -> Staircase | None:
+    """The staircase whose complex this is, up to renaming and a constant
+    shift of each grading; None when there is none.
+
+    j - i falls strictly along a staircase's walk, so the walk runs in
+    falling Alexander order and each step is the drop between neighbours
+    (a tie is a zero step, which Staircase refuses).  from_staircase of
+    those steps must then match arrow for arrow in walk order, with one
+    (Alexander, Maslov) shift for every generator.
+    """
+    alexander, maslov = complex._alexander, complex._maslov
+    walk = sorted(range(len(complex)), key=alexander.__getitem__, reverse=True)
+    try:
+        stair = Staircase(tuple([alexander[a] - alexander[b] for a, b in zip(walk, walk[1:])]))
+    except ValueError:
+        return None
+    model = from_staircase(stair)
+    shifts = {
+        (alexander[p] - a, maslov[p] - m)
+        for p, a, m in zip(walk, model._alexander, model._maslov)
+    }
+    arrows = frozenset([(walk[s], walk[t], u) for s, t, u in model._arrows])
+    return stair if len(shifts) == 1 and arrows == complex._arrows else None
 
 
 def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
@@ -488,30 +509,6 @@ def _components(complex: FilteredComplex) -> list[list[int]]:
                             stack.append(q)
         parts[label[p]].append(p)
     return parts
-
-
-def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:
-    """Bijection matching arrows exactly and gradings up to constant offsets."""
-    if len(c1.generators) != len(c2.generators) or len(c1.arrows) != len(c2.arrows):
-        return False
-    if len(c1.generators) > 8:
-        raise ValueError("isomorphism search is limited to 8 generators")
-    if not c1.generators:
-        return True
-    base = c1.generators
-    for image in permutations(c2.generators):
-        da = image[0].alexander - base[0].alexander
-        dm = image[0].maslov - base[0].maslov
-        if any(
-            h.alexander - g.alexander != da or h.maslov - g.maslov != dm
-            for g, h in zip(base, image)
-        ):
-            continue
-        rename = {g.name: h.name for g, h in zip(base, image)}
-        mapped = {Arrow(rename[a.source], rename[a.target], a.upower) for a in c1.arrows}
-        if mapped == c2.arrows:
-            return True
-    return False
 
 
 def to_json_dict(complex: FilteredComplex) -> dict:

@@ -149,9 +149,6 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-ONE = LaurentPoly({0: 1})
-
-
 def _check_torus_parameters(p: int, q: int) -> None:
     if p < 2 or q < 2 or math.gcd(p, q) != 1:
         raise InvalidTorusParameters(

@@ -4,6 +4,7 @@ Plain coefficient-list polynomial division and brute-force enumeration,
 used to cross-check the semigroup construction and the GF(2) routines, a
 Laurent polynomial's text written term by term, a
 set-based component search that builds only the library's data type, the
+isomorphism up to grading shifts by a search over permutations, the
 tensor product over generator names, the O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
 walk of the step vector, the double's HFK-hat ranks by generator family, a
 move-by-move diagonal elimination over plain arrow tuples, the column
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from itertools import permutations
 
 from cfktools import (
     AcyclicityReport,
@@ -157,6 +159,30 @@ def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
         arrows = [a for a in sorted(complex.arrows) if a.source in block]
         components.append(FilteredComplex(gens, arrows))
     return components
+
+
+def isomorphic_up_to_shift(c1: FilteredComplex, c2: FilteredComplex) -> bool:
+    """Bijection matching arrows exactly and gradings up to constant offsets."""
+    if len(c1.generators) != len(c2.generators) or len(c1.arrows) != len(c2.arrows):
+        return False
+    if len(c1.generators) > 8:
+        raise ValueError("isomorphism search is limited to 8 generators")
+    if not c1.generators:
+        return True
+    base = c1.generators
+    for image in permutations(c2.generators):
+        da = image[0].alexander - base[0].alexander
+        dm = image[0].maslov - base[0].maslov
+        if any(
+            h.alexander - g.alexander != da or h.maslov - g.maslov != dm
+            for g, h in zip(base, image)
+        ):
+            continue
+        rename = {g.name: h.name for g, h in zip(base, image)}
+        mapped = {Arrow(rename[a.source], rename[a.target], a.upower) for a in c1.arrows}
+        if mapped == c2.arrows:
+            return True
+    return False
 
 
 def reference_naming_defect(generators: list, arrows: list) -> str | None:

@@ -97,7 +97,8 @@ class TestTorus:
 def test_torus_staircase_has_the_torus_polynomial(q):
     for p in range(2, q):
         if math.gcd(p, q) == 1:
-            assert alexander_of_staircase(cli._torus_staircase(p, q)) == alexander_torus(p, q), (p, q)
+            stair = cli._torus_knot(p, q)[1]
+            assert alexander_of_staircase(stair) == alexander_torus(p, q), (p, q)
 
 
 class TestStaircase:

@@ -21,7 +21,6 @@ from cfktools import (
     complex_from_json_dict,
     splitting_plan,
     from_staircase,
-    isomorphic_up_to_shift,
     remove_diagonals,
     split_summands,
     tensor,
@@ -30,6 +29,7 @@ from cfktools import (
 )
 
 from cfktools import filtered
+from cfktools.filtered import _staircase_of
 
 from .complex_fixtures import (
     BOX_OVER_CORNER_PLAN,
@@ -49,6 +49,7 @@ from .complex_fixtures import (
 )
 from .oracles import (
     _apply_move,
+    isomorphic_up_to_shift,
     reference_naming_defect,
     reference_remove_diagonals,
     reference_split_summands,
@@ -219,6 +220,21 @@ class TestPublicViews:
         with pytest.raises(KeyError):
             c.generator("ghost")
         assert repr(c) == "<FilteredComplex 2 generators, 1 arrows>"
+
+    def test_views_of_plain_tuples_are_named_tuples(self):
+        """The views are built from positions, not kept from the caller's
+        tuples, so a complex built from plain tuples reads and writes back."""
+        gens = [("s0", 1, 0), ("s1", 0, -1), ("s2", -1, -2)]
+        arrows = [("s1", "s0", 1), ("s1", "s2", 0)]
+        for c in (FilteredComplex(gens, arrows), FilteredComplex(gens, []).with_arrows(arrows)):
+            assert all(type(g) is Generator for g in c.generators)
+            assert all(type(a) is Arrow for a in c.arrows)
+            assert c.generator("s1") == Generator("s1", 0, -1)
+            assert c == TREFOIL and c.with_arrows(arrows) == TREFOIL
+            assert complex_from_json_dict(to_json_dict(c)) == c
+        loose = (a for a in [("s1", "s0", 1), ("s1", "ghost", 0)])
+        with pytest.raises(CFKError, match="^unknown-generator: arrow s1->ghost has a loose end$"):
+            FilteredComplex(gens, loose)
 
     @given(loose_complexes())
     def test_every_named_entry_refuses_the_oracles_defect(self, drawn):
@@ -692,17 +708,96 @@ class TestSplitSummands:
             assert all(a.source in p.names() and a.target in p.names() for a in p.arrows)
 
 
+@st.composite
+def near_trefoils(draw):
+    """The trefoil with its gradings shifted, at most one grading moved, and
+    up to two arrows toggled: its own, or one with the upower off by one or
+    the ends swapped."""
+    da, dm = draw(SMALL), draw(SMALL)
+    moved = draw(st.integers(-1, 5))  # index into the six gradings; -1 moves none
+    by = draw(st.sampled_from([-2, -1, 1, 2]))
+    gens = [
+        Generator(g.name, g.alexander + da + by * (moved == 2 * k),
+                  g.maslov + dm + by * (moved == 2 * k + 1))
+        for k, g in enumerate(TREFOIL.generators)
+    ]
+    candidates = sorted(
+        TREFOIL.arrows
+        | {a._replace(upower=a.upower + 1) for a in TREFOIL.arrows}
+        | {Arrow(a.target, a.source, a.upower) for a in TREFOIL.arrows}
+    )
+    toggled = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=2))
+    return FilteredComplex(draw(st.permutations(gens)), TREFOIL.arrows ^ set(toggled))
+
+
 class TestIsomorphism:
+    """_staircase_of reads a complex back as the staircase whose complex it is,
+    up to renaming and a constant shift of each grading, and agrees with the
+    permutation search of the oracle."""
+
     def test_shift_invariance(self):
         shifted = FilteredComplex(
             [Generator(g.name + "'", g.alexander + 2, g.maslov - 4) for g in TREFOIL.generators],
             [Arrow(a.source + "'", a.target + "'", a.upower) for a in TREFOIL.arrows],
         )
-        assert isomorphic_up_to_shift(TREFOIL, shifted)
+        assert _staircase_of(shifted) == Staircase((1, 1))
 
     def test_distinguishes_arrow_structure(self):
         other = FilteredComplex(TREFOIL.generators, [])
-        assert not isomorphic_up_to_shift(TREFOIL, other)
+        assert _staircase_of(other) is None
+
+    @given(PALINDROMES, SMALL, SMALL, st.data())
+    def test_reads_back_renamed_shuffled_and_shifted_staircases(self, stair, da, dm, data):
+        c = from_staircase(stair)
+        gens = data.draw(st.permutations(c.generators))
+        rename = {g.name: f"g{k}" for k, g in enumerate(data.draw(st.permutations(gens)))}
+        disguised = FilteredComplex(
+            [Generator(rename[g.name], g.alexander + da, g.maslov + dm) for g in gens],
+            [Arrow(rename[a.source], rename[a.target], a.upower) for a in c.arrows],
+        )
+        assert _staircase_of(disguised) == stair
+
+    def test_unknot_and_empty_complex(self):
+        assert _staircase_of(from_staircase(Staircase(()))) == Staircase(())
+        assert _staircase_of(FilteredComplex([Generator("a", 3, -2)], [])) == Staircase(())
+        assert _staircase_of(FilteredComplex([], [])) is None
+
+    def test_refuses_what_is_no_staircase(self):
+        # a box: two generators share Alexander grading 0
+        assert _staircase_of(single_box()) is None
+        # an Alexander tie: the walk would take a zero step
+        tie = FilteredComplex(
+            [Generator("s0", 1, 0), Generator("s1", 0, -1), Generator("s2", 0, 0)],
+            [Arrow("s1", "s0", 1), Arrow("s1", "s2", 0)],
+        )
+        assert _staircase_of(tie) is None
+        # the right walk and gradings, but one arrow's upower is off
+        off = TREFOIL.with_arrows([Arrow("s1", "s0", 2), Arrow("s1", "s2", 0)])
+        assert _staircase_of(off) is None
+        # a Maslov grading off by two
+        moved = [g._replace(maslov=g.maslov + 2 * (g.name == "s2")) for g in TREFOIL.generators]
+        assert _staircase_of(FilteredComplex(moved, TREFOIL.arrows)) is None
+
+    @given(near_trefoils())
+    def test_trefoil_test_matches_the_oracle_near_the_trefoil(self, complex):
+        want = isomorphic_up_to_shift(complex, TREFOIL)
+        assert (_staircase_of(complex) == Staircase((1, 1))) == want
+
+    def test_trefoil_test_matches_the_oracle_on_the_doubles(self):
+        """Every three-generator component of D(1..200), of scrambled doubles
+        and of their cleaned forms, built as verify_splitting builds it."""
+        complexes = [build_double_complex(m) for m in range(1, 201)]
+        for m in range(1, 5):
+            for seed in range(20):
+                scrambled = scrambled_double(m, seed)
+                complexes += [scrambled, remove_diagonals(scrambled, splitting_plan(m))]
+        for complex in complexes:
+            for positions in filtered._components(complex):
+                if len(positions) != 3:
+                    continue
+                part = complex._subcomplex(positions)
+                want = isomorphic_up_to_shift(part, TREFOIL)
+                assert (_staircase_of(part) == Staircase((1, 1))) == want
 
 
 JSON_VALUES = st.recursive(
