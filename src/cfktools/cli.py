@@ -13,6 +13,11 @@ or a parameter out of range) exit 2 and computation errors exit 1, each
 with one ``Error: ...`` line on stderr, after the usage line when the
 command line did not parse; ``main(args, standalone_mode=False)`` raises
 them instead, as UsageError and CFKError.
+
+A knot is named by ``torus P Q`` or ``staircase STEPS``, alone or under
+classify or diagram.  Either spec sets ``args.knot``, which resolves it to
+(name, staircase, Alexander polynomial or None), so one function serves
+both specs in each of the report, classify and diagram verbs.
 """
 
 from __future__ import annotations
@@ -135,12 +140,19 @@ def _torus_knot(p: int, q: int) -> tuple[str, Staircase, LaurentPoly]:
     return f"T({p},{q})", staircase_from_alexander(poly), poly
 
 
+def _staircase_knot(args: argparse.Namespace) -> tuple[str, Staircase, None]:
+    """The name and staircase of args.steps, without its polynomial."""
+    stair = _parse_staircase(args.steps)
+    return str(stair), stair, None
+
+
 def _load_complex(path: str) -> FilteredComplex:
     """Read, parse and validate the complex in a JSON file; any defect exits 1."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, ValueError) as exc:
+    # json.load recurses once per nesting level
+    except (OSError, ValueError, RecursionError) as exc:
         raise CFKError(f"unreadable JSON in {path}: {exc}")
     try:
         complex = complex_from_json_dict(data)
@@ -279,9 +291,15 @@ def _emit(args: argparse.Namespace, payload: dict, text) -> str:
     return text(payload) + "\n"
 
 
+def _aligned(rows: list[tuple[str, object]]) -> str:
+    """The (key, value) rows, each value two spaces past the longest key."""
+    width = max(len(key) for key, _ in rows)
+    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
+
+
 def _report_text(report: dict) -> str:
     verts = " ".join(f"({v['i']},{v['j']})" for v in report["vertices"])
-    rows = [
+    return _aligned([
         ("knot", report["knot"]),
         ("alexander", report["alexander"]),
         ("staircase", ",".join(str(s) for s in report["steps"]) or "(unknot)"),
@@ -289,20 +307,12 @@ def _report_text(report: dict) -> str:
         ("tau", report["tau"]),
         ("d1", report["d1"]),
         ("delta_whitehead", report["delta_whitehead"]),
-    ]
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+    ])
 
 
-def _torus(args: argparse.Namespace) -> str:
-    """Invariant report for the (P, Q) torus knot."""
-    return _emit(args, _knot_report(*_torus_knot(args.p, args.q)), _report_text)
-
-
-def _staircase(args: argparse.Namespace) -> str:
-    """Invariant report for the staircase with STEPS like 1,2,2,1."""
-    stair = _parse_staircase(args.steps)
-    return _emit(args, _knot_report(str(stair), stair), _report_text)
+def _report(args: argparse.Namespace) -> str:
+    """Invariant report for the knot that args names."""
+    return _emit(args, _knot_report(*args.knot(args)), _report_text)
 
 
 def _double(args: argparse.Namespace) -> str:
@@ -328,24 +338,21 @@ def _double(args: argparse.Namespace) -> str:
 
 
 def _double_text(report: dict) -> str:
-    lines = [
-        f"knot        {report['knot']}",
-        f"generators  {report['generators']}",
-        f"arrows      {report['arrows']}",
-        f"valid       {report['valid']}",
-        "hat ranks   (alexander, maslov) -> rank",
+    rows = [
+        ("knot", report["knot"]),
+        ("generators", report["generators"]),
+        ("arrows", report["arrows"]),
+        ("valid", report["valid"]),
+        ("hat ranks", "(alexander, maslov) -> rank"),
     ]
-    for row in report["hfk_ranks"]:
-        lines.append(f"            ({row['alexander']},{row['maslov']}) -> {row['rank']}")
+    rows += [("", f"({r['alexander']},{r['maslov']}) -> {r['rank']}") for r in report["hfk_ranks"]]
     if "splitting" in report:
         split = report["splitting"]
-        lines.append(
-            f"splitting   trefoil={split['trefoil_summand']} "
-            f"acyclic_rest={split['acyclic_rest']} components={split['components']}"
-        )
+        rows.append(("splitting", f"trefoil={split['trefoil_summand']} "
+                     f"acyclic_rest={split['acyclic_rest']} components={split['components']}"))
     if "delta_double_double" in report:
-        lines.append(f"delta(D^2)  {report['delta_double_double']}")
-    return "\n".join(lines)
+        rows.append(("delta(D^2)", report["delta_double_double"]))
+    return _aligned(rows)
 
 
 def _d1(args: argparse.Namespace) -> str:
@@ -362,41 +369,31 @@ def _d1(args: argparse.Namespace) -> str:
 
 
 def _d1_text(report: dict) -> str:
-    return f"d1  {report['d1']}"
+    return _aligned([("d1", report["d1"])])
 
 
-def _classify(args: argparse.Namespace, knot: str, stair: Staircase) -> str:
+def _classify(args: argparse.Namespace) -> str:
+    """Classify the double of the knot that args names."""
+    knot, stair, _ = args.knot(args)
     report = classify_iterates(stair).to_dict()
     report["knot"] = knot
     return _emit(args, report, _classify_text)
 
 
 def _classify_text(report: dict) -> str:
-    lines = [
-        f"verdict          {report['verdict']}",
-        f"tau              {report['tau']}",
-        f"delta_whitehead  {report['delta_whitehead']}",
-        f"note             {report['note']}",
+    rows = [
+        ("verdict", report["verdict"]),
+        ("tau", report["tau"]),
+        ("delta_whitehead", report["delta_whitehead"]),
     ]
     if report["delta_double_double"] is not None:
-        lines.insert(3, f"delta(D^2)       {report['delta_double_double']}")
+        rows.append(("delta(D^2)", report["delta_double_double"]))
+    rows.append(("note", report["note"]))
     if report["psi"]:
-        lines.append(f"psi rows         {report['psi']}")
+        rows.append(("psi rows", report["psi"]))
     if report["summand_certificate"] is not None:
-        lines.append(f"psi unimodular   {report['summand_certificate']}")
-    return "\n".join(lines)
-
-
-def _classify_torus(args: argparse.Namespace) -> str:
-    """Classify the double of the (P, Q) torus knot."""
-    knot, stair, _ = _torus_knot(args.p, args.q)
-    return _classify(args, knot, stair)
-
-
-def _classify_staircase(args: argparse.Namespace) -> str:
-    """Classify the double of a staircase knot."""
-    stair = _parse_staircase(args.steps)
-    return _classify(args, str(stair), stair)
+        rows.append(("psi unimodular", report["summand_certificate"]))
+    return _aligned(rows)
 
 
 def _check_square(generators: int) -> None:
@@ -404,22 +401,6 @@ def _check_square(generators: int) -> None:
         raise InvalidParameter(
             f"--tensor-square needs <= {MAX_SQUARED_GENERATORS} generators, got {generators}"
         )
-
-
-def _complex_svg(complex: FilteredComplex, square: bool) -> str:
-    """The diagram of the complex, or of its tensor square."""
-    if square:
-        _check_square(len(complex))
-        complex = tensor(complex, complex)
-    return diagrams.svg_for_complex(complex)
-
-
-def _staircase_svg(stair: Staircase, square: bool) -> str:
-    """The diagram of the staircase's complex, or of its tensor square."""
-    if not square:
-        return diagrams.svg_for_staircase(stair)
-    _check_square(len(stair.steps) + 1)  # from_staircase's generator count
-    return _complex_svg(from_staircase(stair), square)
 
 
 def _write_svg(document: str, path: str) -> str:
@@ -432,16 +413,14 @@ def _write_svg(document: str, path: str) -> str:
     return f"wrote {path}\n"
 
 
-def _diagram_torus(args: argparse.Namespace) -> str:
-    """Diagram of the (P, Q) torus knot complex."""
-    stair = _torus_knot(args.p, args.q)[1]
-    return _write_svg(_staircase_svg(stair, args.tensor_square), args.path)
-
-
-def _diagram_staircase(args: argparse.Namespace) -> str:
-    """Diagram of a staircase complex."""
-    stair = _parse_staircase(args.steps)
-    return _write_svg(_staircase_svg(stair, args.tensor_square), args.path)
+def _diagram(args: argparse.Namespace) -> str:
+    """Diagram of the complex of the knot that args names, or of its tensor square."""
+    stair = args.knot(args)[1]
+    if not args.tensor_square:
+        return _write_svg(diagrams.svg_for_staircase(stair), args.path)
+    _check_square(len(stair.steps) + 1)  # from_staircase's generator count
+    complex = from_staircase(stair)
+    return _write_svg(diagrams.svg_for_complex(tensor(complex, complex)), args.path)
 
 
 def _diagram_double(args: argparse.Namespace) -> str:
@@ -452,7 +431,10 @@ def _diagram_double(args: argparse.Namespace) -> str:
 def _diagram_complex(args: argparse.Namespace) -> str:
     """Diagram of a complex loaded from a JSON file."""
     complex = _load_complex(args.source)
-    return _write_svg(_complex_svg(complex, args.tensor_square), args.path)
+    if args.tensor_square:
+        _check_square(len(complex))
+        complex = tensor(complex, complex)
+    return _write_svg(diagrams.svg_for_complex(complex), args.path)
 
 
 def _family_rows(family: str) -> list[dict]:
@@ -521,8 +503,8 @@ def _commands(parser: _Parser) -> argparse._SubParsersAction:
 
 
 def _command(commands: argparse._SubParsersAction, name: str, run=None, doc: str = "") -> _Parser:
-    """Add the command name, which runs run and is described by its docstring or doc."""
-    doc = run.__doc__ if run else doc
+    """Add the command name, which runs run and is described by doc or else run's docstring."""
+    doc = doc or run.__doc__
     parser = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
     if run:
         parser.set_defaults(run=run)
@@ -534,15 +516,27 @@ def _integers(parser: _Parser, *names: str) -> None:
         parser.add_argument(name.lower(), metavar=name, type=_integer(name))
 
 
-def _diagram_command(commands: argparse._SubParsersAction, name: str, run,
+def _diagram_command(commands: argparse._SubParsersAction, name: str, run, doc: str = "",
                      square: bool = True) -> _Parser:
     """Add a diagram command, which takes --svg and, if square is set, --tensor-square."""
-    parser = _command(commands, name, run)
+    parser = _command(commands, name, run, doc)
     parser.add_argument("--svg", dest="path", required=True, type=_file("--svg", exists=False))
     if square:
         parser.add_argument("--tensor-square", action="store_true",
                             help="Draw the complex tensored with itself.")
     return parser
+
+
+def _knot_commands(commands: argparse._SubParsersAction, run, torus_doc: str,
+                   staircase_doc: str, add=_command) -> None:
+    """Add torus P Q and staircase STEPS, which run run with args.knot set to
+    resolve the knot they name."""
+    torus = add(commands, "torus", run, torus_doc)
+    torus.set_defaults(knot=lambda args: _torus_knot(args.p, args.q))
+    _integers(torus, "P", "Q")
+    staircase = add(commands, "staircase", run, staircase_doc)
+    staircase.set_defaults(knot=_staircase_knot)
+    staircase.add_argument("steps", metavar="STEPS")
 
 
 def _build_parser() -> _Parser:
@@ -551,8 +545,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="Emit JSON documents.")
     verbs = _commands(parser)
 
-    _integers(_command(verbs, "torus", _torus), "P", "Q")
-    _command(verbs, "staircase", _staircase).add_argument("steps", metavar="STEPS")
+    _knot_commands(verbs, _report, "Invariant report for the (P, Q) torus knot.",
+                   "Invariant report for the staircase with STEPS like 1,2,2,1.")
 
     double = _command(verbs, "double", _double)
     _integers(double, "M")
@@ -566,13 +560,12 @@ def _build_parser() -> _Parser:
 
     classify = _commands(_command(verbs, "classify",
                                   doc="Distinguishability of a knot's iterated doubles."))
-    _integers(_command(classify, "torus", _classify_torus), "P", "Q")
-    _command(classify, "staircase", _classify_staircase).add_argument("steps", metavar="STEPS")
+    _knot_commands(classify, _classify, "Classify the double of the (P, Q) torus knot.",
+                   "Classify the double of a staircase knot.")
 
     diagram = _commands(_command(verbs, "diagram", doc="Render a grid diagram to an SVG file."))
-    _integers(_diagram_command(diagram, "torus", _diagram_torus), "P", "Q")
-    _diagram_command(diagram, "staircase", _diagram_staircase).add_argument(
-        "steps", metavar="STEPS")
+    _knot_commands(diagram, _diagram, "Diagram of the (P, Q) torus knot complex.",
+                   "Diagram of a staircase complex.", add=_diagram_command)
     _integers(_diagram_command(diagram, "double", _diagram_double, square=False), "M")
     _diagram_command(diagram, "complex", _diagram_complex).add_argument(
         "source", metavar="SOURCE", type=_file("SOURCE", exists=True))

@@ -102,7 +102,6 @@ class SplittingReport:
     component_sizes: tuple[int, ...]
     trefoil_index: int | None
     rest_verdict: str
-    trefoil: FilteredComplex | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -126,31 +125,28 @@ def verify_splitting(complex: FilteredComplex) -> SplittingReport:
     match the staircase's.  Only those components are built as complexes.
     """
     parts = _components(complex)
-    trefoil_index, trefoil, rest = None, None, complex
+    trefoil_index, rest = None, complex
     for idx, part in enumerate(parts):
-        if len(part) == 3:
-            comp = complex._subcomplex(part)
-            if _staircase_of(comp) == _TREFOIL:
-                trefoil_index, trefoil = idx, comp
-                drop = set(part)
-                keep = [p for p in range(len(complex)) if p not in drop]
-                rest = complex._subcomplex(keep)
-                break
+        if len(part) == 3 and _staircase_of(complex._subcomplex(part)) == _TREFOIL:
+            trefoil_index = idx
+            drop = set(part)
+            keep = [p for p in range(len(complex)) if p not in drop]
+            rest = complex._subcomplex(keep)
+            break
     rest_verdict = is_acyclic(rest).verdict
     return SplittingReport(
-        trefoil_summand=trefoil is not None,
+        trefoil_summand=trefoil_index is not None,
         acyclic_rest=rest_verdict == "certified-acyclic",
         component_sizes=tuple(map(len, parts)),
         trefoil_index=trefoil_index,
         rest_verdict=rest_verdict,
-        trefoil=trefoil,
     )
 
 
 def _summand_delta2(report: SplittingReport) -> int:
     """delta(D^2) = 2 d1 of the trefoil summand's square, which the closed
     form delta(D(T(2,3))) gives; the acyclic rest adds nothing."""
-    if report.trefoil is None:
+    if not report.trefoil_summand:
         raise CFKError("double complex lost its trefoil summand")
     return delta_whitehead(_TREFOIL)
 

@@ -286,9 +286,10 @@ def _staircase_of(complex: FilteredComplex) -> Staircase | None:
 
     j - i falls strictly along a staircase's walk, so the walk runs in
     falling Alexander order and each step is the drop between neighbours
-    (a tie is a zero step, which Staircase refuses).  from_staircase of
-    those steps must then match arrow for arrow in walk order, with one
-    (Alexander, Maslov) shift for every generator.
+    (a tie is a zero step, which Staircase refuses).  So the Alexander
+    gradings match from_staircase of those steps up to one shift, and only
+    its Maslov gradings, up to one shift, and its arrows, in walk order, are
+    left to compare.
     """
     alexander, maslov = complex._alexander, complex._maslov
     walk = sorted(range(len(complex)), key=alexander.__getitem__, reverse=True)
@@ -296,12 +297,12 @@ def _staircase_of(complex: FilteredComplex) -> Staircase | None:
         stair = Staircase(tuple([alexander[a] - alexander[b] for a, b in zip(walk, walk[1:])]))
     except ValueError:
         return None
-    model = from_staircase(stair)
-    shifts = {
-        (alexander[p] - a, maslov[p] - m)
-        for p, a, m in zip(walk, model._alexander, model._maslov)
-    }
-    arrows = frozenset([(walk[s], walk[t], u) for s, t, u in model._arrows])
+    steps = stair.steps
+    # from_staircase gives generator k the Maslov grading (k & 1) - 2 i
+    shifts = {maslov[p] - (k & 1) + 2 * i for k, (p, i) in enumerate(zip(walk, stair._across))}
+    odd = range(1, len(walk), 2)
+    arrows = frozenset([(walk[k], walk[k - 1], steps[k - 1]) for k in odd]
+                       + [(walk[k], walk[k + 1], 0) for k in odd])
     return stair if len(shifts) == 1 and arrows == complex._arrows else None
 
 

@@ -297,8 +297,10 @@ _LOOSE["arrows"].append({"from": "s1", "to": "ghost", "upower": 0})
         (json.dumps(_LOOSE).encode(),
          "invalid complex: unknown-generator: arrow s1->ghost has a loose end"),
         (b"\xff\xfe{", "unreadable JSON in in.json: 'utf-8' codec can't decode byte 0xff"),
+        # json.load recurses once per level, and would end in a RecursionError traceback
+        (b"[" * 200_000, "unreadable JSON in in.json: maximum recursion depth exceeded"),
     ],
-    ids=["loose-arrow", "not-utf8"],
+    ids=["loose-arrow", "not-utf8", "deeply-nested"],
 )
 def test_bad_complex_file_exits_1(runner, tmp_path, monkeypatch, args, content, message):
     monkeypatch.chdir(tmp_path)
@@ -495,6 +497,29 @@ class TestDiagram:
             ["diagram", "staircase", "1,1", "--svg", str(tmp_path / "no" / "dir.svg")],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("square", [[], ["--tensor-square"]], ids=["plain", "square"])
+    def test_torus_and_its_staircase_draw_one_svg(self, runner, tmp_path, square):
+        torus, stair = tmp_path / "torus.svg", tmp_path / "stair.svg"
+        for args, out in [(["torus", "3", "4"], torus), (["staircase", "1,2,2,1"], stair)]:
+            result = runner.invoke(main, ["diagram", *args, "--svg", str(out), *square])
+            assert result.exit_code == 0, result.output
+        assert torus.read_bytes() == stair.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "torus, staircase",
+    [
+        (["torus", "3", "4"], ["staircase", "1,2,2,1"]),
+        (["classify", "torus", "2", "5"], ["classify", "staircase", "1,1,1,1"]),
+    ],
+    ids=["report", "classify"],
+)
+def test_torus_and_its_staircase_differ_only_in_knot(runner, torus, staircase):
+    one, other = (json.loads(runner.invoke(main, ["--json", *args]).stdout)
+                  for args in (torus, staircase))
+    assert one.pop("knot") != other.pop("knot")
+    assert one == other
 
 
 class TestTable:

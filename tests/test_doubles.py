@@ -1,7 +1,6 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,7 @@ from cfktools.doubles import (
 
 from .cli_runner import CliRunner
 from .complex_fixtures import plan_respecting_moves
-from .oracles import hfk_hat_double, reference_double_complex
+from .oracles import hfk_hat_double, isomorphic_up_to_shift, reference_double_complex
 
 
 class TestHfkTable:
@@ -136,12 +135,17 @@ class TestSplitting:
             comp_sets = {frozenset(c.names()) for c in comps}
             assert plan_sets == comp_sets
 
-    def test_report_keeps_the_trefoil_summand(self):
+    def test_trefoil_index_names_the_trefoil_summand(self):
         report = verify_splitting(build_double_complex(2))
         summand = split_summands(build_double_complex(2))[report.trefoil_index]
-        assert report.trefoil == summand
-        assert "trefoil" not in report.to_dict()
-        assert report == replace(report, trefoil=None)
+        assert isomorphic_up_to_shift(summand, from_staircase(Staircase((1, 1))))
+        assert report.to_dict() == {
+            "trefoil_summand": True,
+            "acyclic_rest": True,
+            "components": [3, 4, 4, 4, 4, 4, 4, 4],
+            "trefoil_index": 0,
+            "rest_verdict": "certified-acyclic",
+        }
 
     def test_trefoil_complex_itself(self):
         report = verify_splitting(from_staircase(Staircase((1, 1))))
