@@ -28,8 +28,11 @@ only where they decide what is printed or chosen:
   cycle's coset minimum reads, and the acyclicity walk, which runs in name
   order.
 
-The named views (generators, arrows, generator(name)) of every complex are
-made from positions when first read.  Names come in only where a
+A complex is a frozen dataclass whose fields are the four positional ones
+(the names, the two gradings and the arrow triples), so its equality and
+hash read those alone.  The named views (generators, arrows,
+generator(name)), the name index and the adjacency lists are cached
+properties, made from positions when first read.  Names come in only where a
 complex is built by name (the constructor, with_arrows, tensor of factors
 whose names hold a '*', and complex_from_json_dict), and each refuses a
 repeated name or an arrow whose end names no generator with a CFKError in
@@ -41,11 +44,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import sub
 from typing import NamedTuple
 
 from . import gf2
 from .errors import CFKError, IllegalBasisChange, InadmissiblePlan
-from .staircase import Staircase, vertices
+from .staircase import Staircase
 
 
 class Generator(NamedTuple):
@@ -68,6 +73,7 @@ class BasisChange:
     y: str
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FilteredComplex:
     """Immutable complex; operations return new values.
 
@@ -75,10 +81,10 @@ class FilteredComplex:
     _maslov[k]; _arrows holds the arrow triples.
     """
 
-    __slots__ = (
-        "_names", "_alexander", "_maslov", "_arrows",
-        "_generators", "_arrow_view", "_index", "_adjacency",
-    )
+    _names: tuple[str, ...]
+    _alexander: tuple[int, ...]
+    _maslov: tuple[int, ...]
+    _arrows: frozenset[tuple[int, int, int]]
 
     def __init__(self, generators, arrows):
         gens = tuple(generators)
@@ -98,44 +104,36 @@ class FilteredComplex:
     def _with(self, arrows) -> "FilteredComplex":
         """These generators with the arrow triples arrows."""
         return FilteredComplex._build(
-            self._names, self._alexander, self._maslov, arrows, self._index
+            self._names, self._alexander, self._maslov, arrows, self._lookup
         )
 
-    def __setattr__(self, *_):
-        raise AttributeError("FilteredComplex is immutable")
+    # the cached views live in the instance __dict__, outside the fields
+    # that eq and hash read
 
-    @property
+    @cached_property
     def generators(self) -> tuple[Generator, ...]:
-        if self._generators is None:
-            view = tuple(map(Generator, self._names, self._alexander, self._maslov))
-            _set(self, "_generators", view)
-        return self._generators
+        return tuple(map(Generator, self._names, self._alexander, self._maslov))
 
-    @property
+    @cached_property
     def arrows(self) -> frozenset[Arrow]:
-        if self._arrow_view is None:
-            names = self._names
-            view = frozenset([Arrow(names[s], names[t], u) for s, t, u in self._arrows])
-            _set(self, "_arrow_view", view)
-        return self._arrow_view
+        names = self._names
+        return frozenset([Arrow(names[s], names[t], u) for s, t, u in self._arrows])
 
+    @cached_property
     def _lookup(self) -> dict[str, int]:
         """Each name's position."""
-        if self._index is None:
-            _set(self, "_index", _index_of(self._names))
-        return self._index
+        return _index_of(self._names)
 
+    @cached_property
     def _neighbours(self) -> tuple[list[list[tuple[int, int]]], ...]:
         """(out, into): for each position, the (target, upower) of the arrows
         out of it and the (source, upower) of the arrows into it."""
-        if self._adjacency is None:
-            out = [[] for _ in self._names]
-            into = [[] for _ in self._names]
-            for s, t, u in self._arrows:
-                out[s].append((t, u))
-                into[t].append((s, u))
-            _set(self, "_adjacency", (out, into))
-        return self._adjacency
+        out = [[] for _ in self._names]
+        into = [[] for _ in self._names]
+        for s, t, u in self._arrows:
+            out[s].append((t, u))
+            into[t].append((s, u))
+        return out, into
 
     def _least(self, triples) -> tuple[int, int, int]:
         """The least of the arrow triples in the order of their named Arrows."""
@@ -146,7 +144,7 @@ class FilteredComplex:
         """The generators at positions keep, in that order, with their arrows.
         No arrow may join keep to the rest."""
         new = dict(zip(keep, range(len(keep))))
-        out = self._neighbours()[0]
+        out = self._neighbours[0]
         names, alexander, maslov = self._names, self._alexander, self._maslov
         return FilteredComplex._build(
             tuple([names[p] for p in keep]),
@@ -159,41 +157,25 @@ class FilteredComplex:
         return len(self._names)
 
     def generator(self, name: str) -> Generator:
-        return self.generators[self._lookup()[name]]
+        return self.generators[self._lookup[name]]
 
     def names(self) -> list[str]:
         return list(self._names)
 
     def with_arrows(self, arrows) -> "FilteredComplex":
-        return self._with(_positions(self._names, self._lookup(), frozenset(arrows)))
-
-    def _key(self) -> tuple:
-        return (self._names, self._alexander, self._maslov, self._arrows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FilteredComplex):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return self._with(_positions(self._names, self._lookup, frozenset(arrows)))
 
     def __repr__(self) -> str:
         return f"<FilteredComplex {len(self._names)} generators, {len(self._arrows)} arrows>"
 
 
-_set = object.__setattr__
-
-
 def _fill(complex, names, alexander, maslov, arrows, index) -> None:
-    _set(complex, "_names", names)
-    _set(complex, "_alexander", alexander)
-    _set(complex, "_maslov", maslov)
-    _set(complex, "_arrows", arrows)
-    _set(complex, "_generators", None)
-    _set(complex, "_arrow_view", None)
-    _set(complex, "_index", index)
-    _set(complex, "_adjacency", None)
+    """Write the four fields, and the name index when the caller has it,
+    past the frozen __setattr__."""
+    fields = vars(complex)
+    fields.update(_names=names, _alexander=alexander, _maslov=maslov, _arrows=arrows)
+    if index is not None:
+        fields["_lookup"] = index
 
 
 def _index_of(names) -> dict[str, int]:
@@ -247,7 +229,7 @@ def validate(complex: FilteredComplex) -> str | None:
             f"filtration: arrow {names[s]}->{names[t]} (upower {u}) "
             f"raises a filtration level"
         )
-    out = complex._neighbours()[0]
+    out = complex._neighbours[0]
     for g, steps in enumerate(out):
         # (end, upower) of the two-step paths out of g that occur an odd number
         # of times; one middle's arrows all differ, so each toggles as a set
@@ -265,19 +247,26 @@ def from_staircase(stair: Staircase) -> FilteredComplex:
 
     Horizontal arrows absorb their i-drop into the U-power, so a leftward
     step of length L becomes an arrow with upower L between representatives.
-    Generator k is named sk.
+    Generator k is named sk; at vertex (i, j) it has Alexander grading j - i
+    and Maslov grading (k & 1) - 2 i.
     """
-    vs = vertices(stair)
-    arrows = []
-    for k in range(1, len(vs), 2):
-        arrows.append((k, k - 1, stair.steps[k - 1]))
-        arrows.append((k, k + 1, 0))
+    across = stair._across
+    walk = range(len(across))
     return FilteredComplex._build(
-        tuple(f"s{k}" for k in range(len(vs))),
-        tuple(v.j - v.i for v in vs),
-        tuple(v.gr - 2 * v.i for v in vs),
-        frozenset(arrows),
+        tuple([f"s{k}" for k in walk]),
+        tuple(map(sub, reversed(across), across)),
+        tuple([(k & 1) - 2 * i for k, i in enumerate(across)]),
+        _staircase_arrows(walk, stair.steps),
     )
+
+
+def _staircase_arrows(walk, steps) -> frozenset[tuple[int, int, int]]:
+    """from_staircase's arrows between the positions walk[k] of its
+    generators k: each odd one maps to the one before it with the step
+    between them as upower, and to the one after it with upower 0."""
+    odd = range(1, len(walk), 2)
+    return frozenset([(walk[k], walk[k - 1], steps[k - 1]) for k in odd]
+                     + [(walk[k], walk[k + 1], 0) for k in odd])
 
 
 def _staircase_of(complex: FilteredComplex) -> Staircase | None:
@@ -297,12 +286,9 @@ def _staircase_of(complex: FilteredComplex) -> Staircase | None:
         stair = Staircase(tuple([alexander[a] - alexander[b] for a, b in zip(walk, walk[1:])]))
     except ValueError:
         return None
-    steps = stair.steps
     # from_staircase gives generator k the Maslov grading (k & 1) - 2 i
     shifts = {maslov[p] - (k & 1) + 2 * i for k, (p, i) in enumerate(zip(walk, stair._across))}
-    odd = range(1, len(walk), 2)
-    arrows = frozenset([(walk[k], walk[k - 1], steps[k - 1]) for k in odd]
-                       + [(walk[k], walk[k + 1], 0) for k in odd])
+    arrows = _staircase_arrows(walk, stair.steps)
     return stair if len(shifts) == 1 and arrows == complex._arrows else None
 
 
@@ -328,7 +314,7 @@ def tensor(c1: FilteredComplex, c2: FilteredComplex) -> FilteredComplex:
 
 def _shift_of(complex: FilteredComplex, move: BasisChange) -> int:
     """U-power of the move y' = y + U^shift x; raises if it is illegal."""
-    index = complex._lookup()
+    index = complex._lookup
     if move.x == move.y or move.x not in index or move.y not in index:
         raise IllegalBasisChange(f"bad basis change {move.x} into {move.y}")
     x, y = index[move.x], index[move.y]
@@ -358,7 +344,7 @@ def _toggles(x: int, y: int, shift: int, into_y, out_x) -> set[tuple[int, int, i
 def basis_change(complex: FilteredComplex, move: BasisChange) -> FilteredComplex:
     """Apply y' = y + U^shift x; coinciding arrows cancel mod 2."""
     shift = _shift_of(complex, move)
-    index = complex._lookup()
+    index = complex._lookup
     x, y = index[move.x], index[move.y]
     into_y, out_x = [], []
     for s, t, u in complex._arrows:
@@ -407,7 +393,7 @@ def remove_diagonals(complex: FilteredComplex, plan: list[list[str]]) -> Filtere
             f"{subset[s]} to later subset {subset[t]}"
         )
 
-    index = complex._lookup()
+    index = complex._lookup
     members = [[index[name] for name in sorted(part)] for part in plan]
     # each subset's cross arrows, all toward earlier subsets
     cross: list[set[tuple[int, int, int]]] = [set() for _ in plan]
@@ -449,7 +435,7 @@ def _clear_pair(
             target |= 1 << bit.setdefault(a, len(bit))
 
     alexander, maslov = complex._alexander, complex._maslov
-    out, into = complex._neighbours()
+    out, into = complex._neighbours
     toggle_sets: list[set[tuple[int, int, int]]] = []
     columns: list[int] = []
     for y in members[hi]:
@@ -493,7 +479,7 @@ def split_summands(complex: FilteredComplex) -> list[FilteredComplex]:
 
 def _components(complex: FilteredComplex) -> list[list[int]]:
     """Each component's positions, in increasing order, in first-generator order."""
-    out, into = complex._neighbours()
+    out, into = complex._neighbours
     label = [-1] * len(out)
     parts: list[list[int]] = []
     for p in range(len(out)):

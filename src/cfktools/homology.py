@@ -132,12 +132,20 @@ def hfk_hat_ranks(complex: FilteredComplex) -> dict[tuple[int, int], int]:
 
 def _class_cycle(column: dict[int, tuple[list[int], list[int]]], level: int) -> list[int]:
     """Positions of a cycle at level that is no boundary, in the level's bit
-    order: the first kernel vector whose coset minimum is not zero."""
+    order.
+
+    One pivot table holds the boundaries into the level, then each member's
+    differential shifted past the level's bits, with the member's own bit
+    below.  A residue with no high bit left is a cycle reduced to the
+    minimum of its class, and the first such residue that is not zero is
+    the cycle.
+    """
     members, masks = column[level]
-    kernel = gf2.kernel_masks(masks)
-    boundaries = column[level + 1][1] if level + 1 in column else []
-    for rep in gf2.coset_minima(kernel, boundaries):
-        if rep:
+    n = len(members)
+    table = gf2.PivotTable(column[level + 1][1] if level + 1 in column else ())
+    for j, mask in enumerate(masks):
+        rep = table.insert(mask << n | 1 << j, n)
+        if rep and not rep >> n:
             return [p for bit, p in enumerate(members) if (rep >> bit) & 1]
     raise NotAKnotComplex(f"no surviving cycle at grading {level}")
 
@@ -159,7 +167,7 @@ def hat_generator(complex: FilteredComplex) -> Cycle:
 
 def d1_general(complex: FilteredComplex) -> int:
     """Correction term of +1 surgery, by the U-power death search."""
-    out, into = complex._neighbours()
+    out, into = complex._neighbours
     return _d1(
         complex._alexander.__getitem__, complex._maslov.__getitem__,
         out.__getitem__, into.__getitem__, _hat_cycle(complex),
@@ -187,8 +195,8 @@ def d1_tensor(c1: FilteredComplex, c2: FilteredComplex) -> int:
     n2 = len(c2)
     alexander1, alexander2 = c1._alexander, c2._alexander
     maslov1, maslov2 = c1._maslov, c2._maslov
-    out1, into1 = c1._neighbours()
-    out2, into2 = c2._neighbours()
+    out1, into1 = c1._neighbours
+    out2, into2 = c2._neighbours
 
     def alexander(p: int) -> int:
         g, h = divmod(p, n2)
@@ -282,7 +290,7 @@ def is_acyclic(complex: FilteredComplex) -> AcyclicityReport:
     least target is the least number.
     """
     maslov = complex._maslov
-    index = complex._lookup()
+    index = complex._lookup
     order = sorted(index)
     if any(maslov[t] - 2 * u != maslov[s] - 1 for s, t, u in complex._arrows):
         return AcyclicityReport("indeterminate", 0, tuple(order))

@@ -1,7 +1,9 @@
 """Independent oracles, kept free of the library's own code paths.
 
 Plain coefficient-list polynomial division and brute-force enumeration,
-used to cross-check the semigroup construction and the GF(2) routines, a
+used to cross-check the semigroup construction and the GF(2) routines, the
+GF(2) solve, kernel and class-cycle search over a pivot table that keeps
+each row's combination in a side table, a
 Laurent polynomial's text written term by term, a
 set-based component search that builds only the library's data type, the
 isomorphism up to grading shifts by a search over permutations, the
@@ -18,7 +20,7 @@ the naming defect validate reports of named lists.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
 
 from cfktools import (
@@ -26,6 +28,7 @@ from cfktools import (
     Arrow,
     FilteredComplex,
     Generator,
+    NotAKnotComplex,
     Staircase,
     Vertex,
     hat_generator,
@@ -134,6 +137,96 @@ def brute_span(columns: list[int]) -> dict[int, int]:
 def brute_rank(columns: list[int]) -> int:
     """log2 of the span's size."""
     return len(brute_span(columns)).bit_length() - 1
+
+
+class CombinationTable:
+    """The pivot table as it was before gf2 shifted its rows: a row inserted
+    with a combination, a mask over the input columns that XOR to it, keeps
+    that combination in a side table."""
+
+    __slots__ = ("rows", "combos", "bits")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}  # leading bit -> vector
+        self.combos: dict[int, int] = {}  # leading bit -> combination, if inserted with one
+        self.bits = 0  # mask of the leading bits in rows
+
+    def reduce(self, vector: int) -> int:
+        """Clear every pivot bit of vector; returns the residue."""
+        rows, bits = self.rows, self.bits
+        hits = vector & bits
+        while hits:
+            vector ^= rows[hits.bit_length() - 1]
+            hits = vector & bits
+        return vector
+
+    def reduce_combo(self, vector: int, combo: int) -> tuple[int, int]:
+        """reduce, adding to combo the combination of each row it adds to vector."""
+        rows, combos, bits = self.rows, self.combos, self.bits
+        hits = vector & bits
+        while hits:
+            lead = hits.bit_length() - 1
+            vector ^= rows[lead]
+            combo ^= combos[lead]
+            hits = vector & bits
+        return vector, combo
+
+    def insert(self, vector: int, combo: int | None = None) -> tuple[int, int | None]:
+        """Reduce vector, with its combination if given, and store the residue
+        when it is nonzero; returns (residue, combination)."""
+        if combo is None:
+            vector = self.reduce(vector)
+        else:
+            vector, combo = self.reduce_combo(vector, combo)
+        if vector:
+            lead = vector.bit_length() - 1
+            self.rows[lead] = vector
+            if combo is not None:
+                self.combos[lead] = combo
+            self.bits |= 1 << lead
+        return vector, combo
+
+
+def _table(columns: Iterable[int], combos: bool = False) -> CombinationTable:
+    table = CombinationTable()
+    for j, col in enumerate(columns):
+        table.insert(col, 1 << j if combos else None)
+    return table
+
+
+def reference_solve_masks(columns: Sequence[int], target: int) -> int | None:
+    """Find a subset of columns XOR-ing to target.
+
+    Returns the subset as a bitmask over column indices, or None when the
+    target lies outside the span.
+    """
+    residue, combo = _table(columns, combos=True).reduce_combo(target, 0)
+    return combo if residue == 0 else None
+
+
+def reference_kernel_masks(columns: Sequence[int]) -> list[int]:
+    """Basis of {x : sum of selected columns = 0}, as masks over column indices.
+
+    One vector per column that reduces to zero: the column plus the earlier
+    independent columns that cancel it.
+    """
+    table = CombinationTable()
+    inserted = (table.insert(col, 1 << j) for j, col in enumerate(columns))
+    return [combo for residue, combo in inserted if not residue]
+
+
+def reference_class_cycle(column: dict[int, tuple[list[int], list[int]]],
+                          level: int) -> list[int]:
+    """homology._class_cycle by two tables: the first kernel vector of the
+    level's differential whose minimum modulo the boundaries into the level
+    is not zero, as the positions of that minimum."""
+    members, masks = column[level]
+    kernel = reference_kernel_masks(masks)
+    boundaries = _table(column[level + 1][1] if level + 1 in column else [])
+    for rep in (boundaries.reduce(v) for v in kernel):
+        if rep:
+            return [p for bit, p in enumerate(members) if (rep >> bit) & 1]
+    raise NotAKnotComplex(f"no surviving cycle at grading {level}")
 
 
 def reference_split_summands(complex: FilteredComplex) -> list[FilteredComplex]:

@@ -221,6 +221,19 @@ class TestPublicViews:
             c.generator("ghost")
         assert repr(c) == "<FilteredComplex 2 generators, 1 arrows>"
 
+    def test_complex_is_frozen_and_builds_each_view_once(self):
+        c = FilteredComplex(TREFOIL.generators, TREFOIL.arrows)
+        for name in ("_arrows", "_names", "arrows", "_lookup"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert c == TREFOIL and validate(c) is None
+        assert c.generators is c.generators and c.arrows is c.arrows
+        assert c._neighbours is c._neighbours and c._lookup is c._lookup
+        # the name index is passed on to a complex with the same generators
+        assert c._with(c._arrows)._lookup is c._lookup
+
     def test_views_of_plain_tuples_are_named_tuples(self):
         """The views are built from positions, not kept from the caller's
         tuples, so a complex built from plain tuples reads and writes back."""

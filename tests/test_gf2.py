@@ -9,7 +9,13 @@ from hypothesis import given, strategies as st
 
 from cfktools import gf2
 
-from .oracles import brute_rank, brute_solve_gf2, brute_span
+from .oracles import (
+    brute_rank,
+    brute_solve_gf2,
+    brute_span,
+    reference_kernel_masks,
+    reference_solve_masks,
+)
 
 VECTORS = st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), max_size=10)
 VECTOR = st.integers(min_value=0, max_value=(1 << 10) - 1)
@@ -69,9 +75,16 @@ def test_rank_matches_span(columns):
     assert gf2.rank_masks(columns) == brute_rank(columns)
 
 
+@given(VECTORS, VECTOR)
+def test_solve_returns_the_combination_tables_combination(columns, target):
+    """Shifted rows pick exactly the combination a side table of combinations
+    picks, not just one that XORs to the target."""
+    assert gf2.solve_masks(columns, target) == reference_solve_masks(columns, target)
+
+
 @given(VECTORS)
 def test_kernel_is_a_basis_of_the_relations(columns):
-    kernel = gf2.kernel_masks(columns)
+    kernel = reference_kernel_masks(columns)
     for combo in kernel:
         assert combo and combo >> len(columns) == 0
         assert _combine(columns, combo) == 0
