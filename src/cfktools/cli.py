@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -32,6 +33,7 @@ import re
 import stat
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import diagrams, doubles
 from .doubles import (
@@ -51,14 +53,14 @@ from .staircase import (
     delta_whitehead,
     staircase_from_alexander,
     tau,
-    vertices,
 )
 
 SCHEMA = "cfk-1"
 MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
 MAX_T2_TABLE = 50  # largest M for table --family t2:M
 # largest (p-1)(q-1): the report of T(2, c+1) lists its c+1 Alexander terms and
-# its c+1 vertices, so a report's time and memory grow linearly in c
+# its c+1 vertices, held as flat ints, so its time and memory grow linearly in
+# c; at the cap, --json takes about 420 MB, two thirds of it the printed text
 MAX_TORUS_CONDUCTOR = 10**6
 MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 
@@ -182,16 +184,44 @@ def _knot_row(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> d
 
 
 def _knot_report(knot: str, stair: Staircase, poly: LaurentPoly | None = None) -> dict:
-    """A table row's invariants of stair, with its Alexander terms and its vertices."""
+    """A table row's invariants of stair, with its Alexander terms and its
+    vertices as int record blocks."""
     if poly is None:
         poly = alexander_of_staircase(stair)
     report = _knot_row(knot, stair, poly)
-    report["alexander_pairs"] = poly.to_pairs()
-    report["vertices"] = [{"i": v.i, "j": v.j, "gr": v.gr} for v in vertices(stair)]
+    report["alexander_pairs"] = _Records(2, tuple(chain.from_iterable(zip(*poly.sorted_terms()))))
+    across = stair._across
+    grades = [0, 1] * (len(stair.steps) // 2) + [0]
+    walk = zip(grades, across, reversed(across))
+    report["vertices"] = _Records(("gr", "i", "j"), tuple(chain.from_iterable(walk)))
     return report
 
 
-_SCALARS = frozenset({str, int, bool, type(None)})
+class _Records:
+    """A list of int records held flat, which _dumps prints as that list.
+
+    fields holds the records' values, record after record, each exactly int.
+    A record is a dict on shape, one or more str keys in sorted order, or,
+    if shape is an int, a list of that many values.
+    """
+
+    def __init__(self, shape: tuple[str, ...] | int, fields: tuple[int, ...]) -> None:
+        self.shape, self.fields = shape, fields
+
+
+def _plain(value) -> list:
+    """json.dumps' default: a record block as the list of dicts or lists it stands for."""
+    if type(value) is not _Records:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    shape, fields = value.shape, value.fields
+    width = shape if type(shape) is int else len(shape)
+    rows = [list(fields[k:k + width]) for k in range(0, len(fields), width)]
+    return rows if type(shape) is int else [dict(zip(shape, row)) for row in rows]
+
+
+# each scalar type's printer: the C functions json.dumps itself ends in
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
 
 
 class _Unsupported(Exception):
@@ -199,23 +229,32 @@ class _Unsupported(Exception):
 
 
 def _dumps(document) -> str:
-    """Exactly json.dumps(document, indent=2, sort_keys=True), mostly in C.
+    """Exactly json.dumps(document, indent=2, sort_keys=True), with each
+    record block as its plain list, mostly in C.
 
-    With indent set, json.dumps runs its pure-Python encoder.  Here each leaf
-    container (a dict with str keys, or a list, whose values are all exactly
-    str, int, bool or None) is one call of the C encoder, whose item
-    separator carries the newline and indentation.  Each list of int
-    records (non-empty dicts with one set of str keys, or non-empty lists of
-    one length, whose values are all exactly int) is one % format call: one
-    item's template, repeated once per item, applied to every value in
-    order.  Only the containers above these recurse in Python.  Any other
-    value sends the whole document to json.dumps.
+    With indent set, json.dumps runs its pure-Python encoder.  Here no
+    scalar or dict key costs a json.dumps call: each is printed by the C
+    function json.dumps ends in.  Each leaf container (a dict with str keys,
+    or a list, whose values are all exactly str, int, bool or None) is one
+    call of a C encoder, whose item separator carries the newline and
+    indentation.  Each record block, and each list of int records (non-empty
+    dicts with one set of str keys, or non-empty lists of one length, whose
+    values are all exactly int), is one % format call: one record's
+    template, repeated once per record, applied to every value in order.
+    Only the containers above these recurse in Python.  Any other value
+    sends the whole document to json.dumps.
     """
     try:
         return _encode(document, "\n")
     # _encode takes more stack per level than json.dumps, which may still manage
     except (_Unsupported, RecursionError):
-        return json.dumps(document, indent=2, sort_keys=True)
+        return json.dumps(document, indent=2, sort_keys=True, default=_plain)
+
+
+@functools.cache
+def _leaf_encoder(inner: str):
+    """The C encoder of leaf containers whose items go on lines that start with inner."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
 
 
 def _encode(value, newline: str) -> str:
@@ -223,24 +262,27 @@ def _encode(value, newline: str) -> str:
     starts with newline (a newline and that line's indentation)."""
     kind = type(value)
     if kind in _SCALARS:
-        return json.dumps(value)
+        return _SCALARS[kind](value)
+    if kind is _Records:
+        return _block(value, newline)
     if kind is not dict and kind is not list:
         raise _Unsupported
     if not value:
-        return json.dumps(value)
+        return "{}" if kind is dict else "[]"
     if kind is dict and set(map(type, value)) != {str}:
         raise _Unsupported
     inner = newline + "  "
     values = value.values() if kind is dict else value
-    if _SCALARS.issuperset(map(type, values)):
-        text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    if _SCALARS.keys() >= set(map(type, values)):
+        text = _leaf_encoder(inner)(value)
         return text[0] + inner + text[1:-1] + newline + text[-1]
     if kind is dict:
-        items = [json.dumps(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        items = [encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
+                 for key in sorted(value)]
         return _lines(items, "{", "}", newline)
-    records = _int_records(value, newline)
+    records = _int_records(value)
     if records is not None:
-        return records
+        return _block(records, newline)
     return _lines([_encode(item, inner) for item in value], "[", "]", newline)
 
 
@@ -255,33 +297,42 @@ def _lines(items: list[str], open_: str, close: str, newline: str) -> str:
     return ("," + inner).join(items)
 
 
-def _int_records(items: list, newline: str) -> str | None:
-    """items as _encode prints them, one % format call on one item's
-    template repeated once per item, if they are int records; else None."""
+def _int_records(items: list) -> _Records | None:
+    """items as one record block, if they are int records; else None."""
     first = items[0]
     kind = type(first)
     if (kind is not dict and kind is not list) or not first:
         return None
     if set(map(type, items)) != {kind} or set(map(len, items)) != {len(first)}:
         return None
-    inner = newline + "  "
     if kind is list:
-        template = _lines(["%d"] * len(first), "[", "]", inner)
+        shape = len(first)
         fields = tuple(chain.from_iterable(items))
     elif set(map(type, first)) == {str}:
-        keys = sorted(first)
-        try:  # an item of len(keys) keys that has all of keys has no other
-            fields = tuple([item[key] for item in items for key in keys])
+        shape = tuple(sorted(first))
+        try:  # an item of len(shape) keys that has all of shape has no other
+            fields = tuple([item[key] for item in items for key in shape])
         except KeyError:
             return None
-        # a % in a key is literal text in the template
-        labels = [json.dumps(key).replace("%", "%%") + ": %d" for key in keys]
-        template = _lines(labels, "{", "}", inner)
     else:
         return None
     if set(map(type, fields)) != {int}:
         return None
-    return _lines([template] * len(items), "[", "]", newline) % fields
+    return _Records(shape, fields)
+
+
+def _block(records: _Records, newline: str) -> str:
+    """records as _encode prints them, one % format call on one record's
+    template repeated once per record."""
+    shape, inner = records.shape, newline + "  "
+    if type(shape) is int:
+        template = _lines(["%d"] * shape, "[", "]", inner)
+    else:
+        # a % in a key is literal text in the template
+        labels = [encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in shape]
+        template, shape = _lines(labels, "{", "}", inner), len(shape)
+    count = len(records.fields) // shape
+    return _lines([template] * count, "[", "]", newline) % records.fields if count else "[]"
 
 
 def _emit(args: argparse.Namespace, payload: dict, text) -> str:
@@ -298,11 +349,13 @@ def _aligned(rows: list[tuple[str, object]]) -> str:
 
 
 def _report_text(report: dict) -> str:
-    verts = " ".join(f"({v['i']},{v['j']})" for v in report["vertices"])
+    fields = report["vertices"].fields
+    # each vertex's gr, i and j: gr printed as no characters
+    verts = " ".join(["%.0s(%d,%d)"] * (len(fields) // 3)) % fields
     return _aligned([
         ("knot", report["knot"]),
         ("alexander", report["alexander"]),
-        ("staircase", ",".join(str(s) for s in report["steps"]) or "(unknot)"),
+        ("staircase", ",".join(map(str, report["steps"])) or "(unknot)"),
         ("vertices", verts),
         ("tau", report["tau"]),
         ("d1", report["d1"]),

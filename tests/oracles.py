@@ -327,6 +327,41 @@ def reference_delta_whitehead(stair: Staircase) -> int:
     return -4 * min(max(a.i + b.i, a.j + b.j) for a in points for b in points)
 
 
+def reference_knot_report(knot: str, stair: Staircase) -> dict:
+    """The torus or staircase report, one dict per vertex and one
+    [exponent, coefficient] list per Alexander term, read off the walk."""
+    points = _walk(stair)
+    # a vertex of grading gr is the term (-1)^gr t^(j - i)
+    terms = sorted((v.j - v.i, 1 - 2 * v.gr) for v in points)
+    return {
+        "knot": knot,
+        "steps": list(stair.steps),
+        "alexander": poly_string(dict(terms)),
+        "tau": points[0].j,
+        "d1": -2 * min(max(v.i, v.j) for v in points),
+        # each vertex's best partner is its mirror (j, i), as staircase.py
+        # proves and reference_delta_whitehead checks pair by pair
+        "delta_whitehead": -4 * min(v.i + v.j for v in points),
+        "alexander_pairs": [[e, c] for e, c in terms],
+        "vertices": [{"i": v.i, "j": v.j, "gr": v.gr} for v in points],
+    }
+
+
+def reference_report_text(report: dict) -> str:
+    """The text report of a reference_knot_report, each value two spaces
+    past the longest key."""
+    rows = [
+        ("knot", report["knot"]),
+        ("alexander", report["alexander"]),
+        ("staircase", ",".join(str(s) for s in report["steps"]) or "(unknot)"),
+        ("vertices", " ".join(f"({v['i']},{v['j']})" for v in report["vertices"])),
+        ("tau", report["tau"]),
+        ("d1", report["d1"]),
+        ("delta_whitehead", report["delta_whitehead"]),
+    ]
+    return "\n".join(f"{key:<15}  {value}" for key, value in rows)
+
+
 def tensor_vertex_multiset(s1: Staircase, s2: Staircase) -> list[Vertex]:
     """Pairwise coordinate sums with summed gradings, the vertices of the tensor product."""
     second = _walk(s2)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from cfktools.cli import main
 
 from .cli_runner import CliRunner
 from .complex_fixtures import single_box
+from .oracles import reference_knot_report, reference_report_text, torus_alexander_by_division
 
 ROOT = Path(__file__).parent.parent
 
@@ -262,6 +264,35 @@ _DOCUMENT = st.recursive(
 )
 
 
+@st.composite
+def _block(draw):
+    """A record block and the list it stands for: dicts on one to three
+    sorted keys, or lists of one to three ints."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_INT, min_size=width, max_size=width), max_size=4))
+    fields = tuple(chain.from_iterable(rows))
+    if draw(st.booleans()):
+        return cli._Records(width, fields), rows
+    keys = tuple(sorted(draw(st.lists(_TEXT, min_size=width, max_size=width, unique=True))))
+    return cli._Records(keys, fields), [dict(zip(keys, row)) for row in rows]
+
+
+# a document holding record blocks, and the same document with each block
+# expanded; a float or an int key among them sends it to json.dumps
+_BLOCK_DOCUMENT = st.recursive(
+    _block() | _SCALAR.map(lambda value: (value, value)) | st.floats(allow_nan=False).map(
+        lambda value: (value, value)),
+    lambda children: (
+        st.lists(children, max_size=3).map(lambda items: tuple(map(list, zip(*items))) or ([], []))
+        | (st.dictionaries(_TEXT, children, max_size=4)
+           | st.dictionaries(st.integers(), children, max_size=3)).map(lambda items: (
+            {key: value for key, (value, _) in items.items()},
+            {key: plain for key, (_, plain) in items.items()}))
+    ),
+    max_leaves=10,
+)
+
+
 class TestDumps:
     @settings(deadline=None, max_examples=400)
     @given(_DOCUMENT)
@@ -281,6 +312,38 @@ class TestDumps:
     ])
     def test_edge_documents(self, document):
         assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_BLOCK_DOCUMENT)
+    def test_record_blocks_print_as_their_lists(self, documents):
+        document, expanded = documents
+        assert cli._dumps(document) == json.dumps(expanded, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("sibling", [
+        None,
+        1.5,  # a float sends the document to json.dumps
+        {1: "int key"},  # and so does an int key
+        functools.reduce(lambda inner, _: [inner], range(700), 0),  # and a RecursionError
+    ], ids=["encoded", "float", "int-key", "deep"])
+    def test_record_block_edge_cases(self, sibling):
+        keys = ('"%d"', "%s", "~", "é☃")  # in sorted order, as a block's keys come
+        blocks = {
+            "empty-keys": (cli._Records(keys[:2], ()), []),
+            "empty-width": (cli._Records(3, ()), []),
+            "keys": (cli._Records(keys, (1, -2, 2**100, -(2**100))),
+                     [dict(zip(keys, (1, -2, 2**100, -(2**100))))]),
+            "width-1": (cli._Records(1, (0, -(2**100))), [[0], [-(2**100)]]),
+            "width-2": (cli._Records(2, (2**100, 3, 4, 5)), [[2**100, 3], [4, 5]]),
+            "nested": ([cli._Records(("a",), (7, 8))], [[{"a": 7}, {"a": 8}]]),
+        }
+        document = {key: block for key, (block, _) in blocks.items()}
+        expanded = {key: plain for key, (_, plain) in blocks.items()}
+        document["sibling"] = expanded["sibling"] = sibling
+        assert cli._dumps(document) == json.dumps(expanded, indent=2, sort_keys=True)
+
+    def test_fallback_still_refuses_other_objects(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            cli._dumps({"a": cli._Records(1, (1,)), "b": 1.5, "c": {1}})
 
 
 _LOOSE = to_json_dict(from_staircase(Staircase((1, 1))))
@@ -336,6 +399,38 @@ def test_duplicate_arrows_are_reported_first(runner, tmp_path, document):
     result = runner.invoke(main, ["d1", "--complex", str(path)])
     assert result.exit_code == 1
     assert result.output == "Error: malformed complex document: duplicate arrows\n"
+
+
+def _torus_staircase(p: int, q: int) -> Staircase:
+    """T(p, q)'s staircase, stepped between the exponents of its Alexander
+    polynomial by division."""
+    exponents = [e for e, _ in torus_alexander_by_division(p, q)]
+    return Staircase(tuple(b - a for a, b in zip(exponents, exponents[1:])))
+
+
+class TestKnotReport:
+    """torus and staircase print exactly the report built as plain dicts and lists."""
+
+    @staticmethod
+    def _check(args: list[str], report: dict) -> None:
+        runner = CliRunner()
+        expected = json.dumps({"schema": "cfk-1", **report}, indent=2, sort_keys=True) + "\n"
+        assert runner.invoke(main, ["--json", *args]).stdout == expected
+        assert runner.invoke(main, args).stdout == reference_report_text(report) + "\n"
+
+    def test_every_torus_knot_up_to_30(self):
+        for p in range(2, 31):
+            for q in range(2, 31):
+                if p != q and math.gcd(p, q) == 1:
+                    report = reference_knot_report(f"T({p},{q})", _torus_staircase(p, q))
+                    self._check(["torus", str(p), str(q)], report)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    def test_palindromic_staircases(self, half):
+        steps = ",".join(map(str, half + half[::-1]))
+        self._check(["staircase", steps], reference_knot_report(f"St({steps})", Staircase(
+            tuple(half + half[::-1]))))
 
 
 class TestClassify:
