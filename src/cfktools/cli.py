@@ -60,7 +60,7 @@ MAX_TORUS_TABLE = 30  # largest N for table --family torus:N
 MAX_T2_TABLE = 50  # largest M for table --family t2:M
 # largest (p-1)(q-1): the report of T(2, c+1) lists its c+1 Alexander terms and
 # its c+1 vertices, held as flat ints, so its time and memory grow linearly in
-# c; at the cap, --json takes about 420 MB, two thirds of it the printed text
+# c; at the cap, --json peaks at about 420 MB, of which the text is about 160
 MAX_TORUS_CONDUCTOR = 10**6
 MAX_SQUARED_GENERATORS = 200  # largest V for diagram --tensor-square, which draws V^2 generators
 

@@ -265,7 +265,7 @@ _DOCUMENT = st.recursive(
 
 
 @st.composite
-def _block(draw):
+def _record_block(draw):
     """A record block and the list it stands for: dicts on one to three
     sorted keys, or lists of one to three ints."""
     width = draw(st.integers(1, 3))
@@ -280,7 +280,7 @@ def _block(draw):
 # a document holding record blocks, and the same document with each block
 # expanded; a float or an int key among them sends it to json.dumps
 _BLOCK_DOCUMENT = st.recursive(
-    _block() | _SCALAR.map(lambda value: (value, value)) | st.floats(allow_nan=False).map(
+    _record_block() | _SCALAR.map(lambda value: (value, value)) | st.floats(allow_nan=False).map(
         lambda value: (value, value)),
     lambda children: (
         st.lists(children, max_size=3).map(lambda items: tuple(map(list, zip(*items))) or ([], []))
