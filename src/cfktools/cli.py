@@ -18,6 +18,12 @@ A knot is named by ``torus P Q`` or ``staircase STEPS``, alone or under
 classify or diagram.  Either spec sets ``args.knot``, which resolves it to
 (name, staircase, Alexander polynomial or None), so one function serves
 both specs in each of the report, classify and diagram verbs.
+
+A --json document is built of dicts with str keys, lists, str, int, bool,
+None and record blocks: int records held flat, which the reports build for
+a knot's vertices and Alexander terms and a double's hat ranks.  _dumps
+prints it exactly as json.dumps(indent=2, sort_keys=True) prints it with
+each block as its plain list, and refuses any other value.
 """
 
 from __future__ import annotations
@@ -202,53 +208,17 @@ class _Records:
 
     fields holds the records' values, record after record, each exactly int.
     A record is a dict on shape, one or more str keys in sorted order, or,
-    if shape is an int, a list of that many values.
+    if shape is an int, a list of that many values.  The reports build
+    these where they build their rows.
     """
 
     def __init__(self, shape: tuple[str, ...] | int, fields: tuple[int, ...]) -> None:
         self.shape, self.fields = shape, fields
 
 
-def _plain(value) -> list:
-    """json.dumps' default: a record block as the list of dicts or lists it stands for."""
-    if type(value) is not _Records:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    shape, fields = value.shape, value.fields
-    width = shape if type(shape) is int else len(shape)
-    rows = [list(fields[k:k + width]) for k in range(0, len(fields), width)]
-    return rows if type(shape) is int else [dict(zip(shape, row)) for row in rows]
-
-
 # each scalar type's printer: the C functions json.dumps itself ends in
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-
-
-class _Unsupported(Exception):
-    """A value _encode leaves to json.dumps."""
-
-
-def _dumps(document) -> str:
-    """Exactly json.dumps(document, indent=2, sort_keys=True), with each
-    record block as its plain list, mostly in C.
-
-    With indent set, json.dumps runs its pure-Python encoder.  Here no
-    scalar or dict key costs a json.dumps call: each is printed by the C
-    function json.dumps ends in.  Each leaf container (a dict with str keys,
-    or a list, whose values are all exactly str, int, bool or None) is one
-    call of a C encoder, whose item separator carries the newline and
-    indentation.  Each record block, and each list of int records (non-empty
-    dicts with one set of str keys, or non-empty lists of one length, whose
-    values are all exactly int), is one % format call: one record's
-    template, repeated once per record, applied to every value in order.
-    Only the containers above these recurse in Python.  Any other value
-    sends the whole document to json.dumps.
-    """
-    try:
-        return _encode(document, "\n")
-    # _encode takes more stack per level than json.dumps, which may still manage
-    except (_Unsupported, RecursionError):
-        return json.dumps(document, indent=2, sort_keys=True, default=_plain)
 
 
 @functools.cache
@@ -257,33 +227,44 @@ def _leaf_encoder(inner: str):
     return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
 
 
-def _encode(value, newline: str) -> str:
-    """value as json.dumps(indent=2, sort_keys=True) prints it on a line that
-    starts with newline (a newline and that line's indentation)."""
+def _dumps(value, newline: str = "\n") -> str:
+    """Exactly json.dumps(value, indent=2, sort_keys=True), printed on a line
+    that starts with newline (a newline and that line's indentation), with
+    each record block as the plain list it stands for.
+
+    value is what the verbs build: dicts with str keys, lists, str, int,
+    bool, None and record blocks.  Any other value raises TypeError.  With
+    indent set, json.dumps runs its pure-Python encoder; here no scalar or
+    dict key costs a json.dumps call, as each is printed by the C function
+    json.dumps ends in.  Each leaf container (a dict or list whose values
+    are all exactly str, int, bool or None) is one call of a C encoder,
+    whose item separator carries the newline and indentation.  Each record
+    block is one % format call: one record's template, repeated once per
+    record, applied to every value in order.  Only the containers above
+    these recurse in Python.
+    """
     kind = type(value)
     if kind in _SCALARS:
         return _SCALARS[kind](value)
     if kind is _Records:
         return _block(value, newline)
     if kind is not dict and kind is not list:
-        raise _Unsupported
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
     if kind is dict and set(map(type, value)) != {str}:
-        raise _Unsupported
+        key = next(key for key in value if type(key) is not str)
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
     inner = newline + "  "
     values = value.values() if kind is dict else value
     if _SCALARS.keys() >= set(map(type, values)):
         text = _leaf_encoder(inner)(value)
         return text[0] + inner + text[1:-1] + newline + text[-1]
     if kind is dict:
-        items = [encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
+        items = [encode_basestring_ascii(key) + ": " + _dumps(value[key], inner)
                  for key in sorted(value)]
         return _lines(items, "{", "}", newline)
-    records = _int_records(value)
-    if records is not None:
-        return _block(records, newline)
-    return _lines([_encode(item, inner) for item in value], "[", "]", newline)
+    return _lines([_dumps(item, inner) for item in value], "[", "]", newline)
 
 
 def _lines(items: list[str], open_: str, close: str, newline: str) -> str:
@@ -297,32 +278,8 @@ def _lines(items: list[str], open_: str, close: str, newline: str) -> str:
     return ("," + inner).join(items)
 
 
-def _int_records(items: list) -> _Records | None:
-    """items as one record block, if they are int records; else None."""
-    first = items[0]
-    kind = type(first)
-    if (kind is not dict and kind is not list) or not first:
-        return None
-    if set(map(type, items)) != {kind} or set(map(len, items)) != {len(first)}:
-        return None
-    if kind is list:
-        shape = len(first)
-        fields = tuple(chain.from_iterable(items))
-    elif set(map(type, first)) == {str}:
-        shape = tuple(sorted(first))
-        try:  # an item of len(shape) keys that has all of shape has no other
-            fields = tuple([item[key] for item in items for key in shape])
-        except KeyError:
-            return None
-    else:
-        return None
-    if set(map(type, fields)) != {int}:
-        return None
-    return _Records(shape, fields)
-
-
 def _block(records: _Records, newline: str) -> str:
-    """records as _encode prints them, one % format call on one record's
+    """records as _dumps prints them, one % format call on one record's
     template repeated once per record."""
     shape, inner = records.shape, newline + "  "
     if type(shape) is int:
@@ -372,15 +329,14 @@ def _double(args: argparse.Namespace) -> str:
     """Build the double of T(2, 2M+1) and report on it."""
     m = args.m
     complex = build_double_complex(m)
+    ranks = sorted(hfk_hat_ranks(complex).items(), reverse=True)
     report: dict = {
         "knot": f"D(T(2,{2 * m + 1}))",
         "generators": len(complex),
         "arrows": len(complex._arrows),
         "valid": validate(complex) is None,
-        "hfk_ranks": [
-            {"alexander": a, "maslov": mm, "rank": r}
-            for (a, mm), r in sorted(hfk_hat_ranks(complex).items(), reverse=True)
-        ],
+        "hfk_ranks": _Records(("alexander", "maslov", "rank"),
+                              tuple(chain.from_iterable(key + (rank,) for key, rank in ranks))),
     }
     split = verify_splitting(complex) if args.verify or args.delta2 else None
     if args.verify:
@@ -398,7 +354,8 @@ def _double_text(report: dict) -> str:
         ("valid", report["valid"]),
         ("hat ranks", "(alexander, maslov) -> rank"),
     ]
-    rows += [("", f"({r['alexander']},{r['maslov']}) -> {r['rank']}") for r in report["hfk_ranks"]]
+    fields = report["hfk_ranks"].fields
+    rows += [("", "(%d,%d) -> %d" % fields[k:k + 3]) for k in range(0, len(fields), 3)]
     if "splitting" in report:
         split = report["splitting"]
         rows.append(("splitting", f"trefoil={split['trefoil_summand']} "

@@ -18,11 +18,11 @@ pair attains a.i + a.j.  Hence delta(D(K)) = -4 * min over vertices of
 (i + j).  (Bisecting on i - j, which strictly increases along the walk,
 finds the same partner: the bisection lands exactly on the mirror.)
 
-Each Staircase walks its vertices once and keeps them as a tuple;
-vertices() hands out a fresh list copy of it.  The walk's i coordinates are
-the running sums of the step vector with its downward steps set to 0, and
-since the vector is palindromic its j coordinates are the same list read
-backwards.  tau, d1 and delta(D(K)) read these two lists in place.
+Each Staircase keeps one list, its walk's i coordinates: the running sums
+of the step vector with its downward steps set to 0.  Since the vector is
+palindromic, the j coordinates are the same list read backwards.  tau, d1
+and delta(D(K)) read these two lists in place, and vertices() builds a
+fresh list of Vertex from them on each call.
 """
 
 from __future__ import annotations
@@ -76,20 +76,15 @@ class Staircase:
         rightward[1::2] = [0] * (len(rightward) // 2)
         return list(accumulate(rightward, initial=0))
 
-    @cached_property
-    def _walk(self) -> tuple[Vertex, ...]:
-        across = self._across
-        grades = [0, 1] * (len(self.steps) // 2) + [0]
-        return tuple(map(_vertex, zip(across, reversed(across), grades)))
-
 
 def vertices(stair: Staircase) -> list[Vertex]:
     """Walk coordinates with gradings, from (0, tau) down to (tau, 0).
 
-    Returns a new list on every call; the walk itself is computed once per
-    staircase.
+    Returns a new list on every call, built from the cached i coordinates.
     """
-    return list(stair._walk)
+    across = stair._across
+    grades = [0, 1] * (len(stair.steps) // 2) + [0]
+    return list(map(_vertex, zip(across, reversed(across), grades)))
 
 
 def tau(stair: Staircase) -> int:

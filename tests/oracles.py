@@ -8,7 +8,8 @@ Laurent polynomial's text written term by term, a
 set-based component search that builds only the library's data type, the
 isomorphism up to grading shifts by a search over permutations, the
 tensor product over generator names, the O(V^2) pair loop for delta(D(K)) and the tensor product's vertices over a
-walk of the step vector, the double's HFK-hat ranks by generator family, a
+walk of the step vector, the double's HFK-hat ranks by generator family and
+its report as plain dicts, a
 move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
 span test per U-power, the acyclicity certificate by repeated unit-pivot
@@ -380,6 +381,51 @@ def hfk_hat_double(m: int) -> dict[tuple[int, int], int]:
         table[(0, -2 * p)] = table.get((0, -2 * p), 0) + 4
         table[(-1, -1 - 2 * p)] = table.get((-1, -1 - 2 * p), 0) + 2
     return table
+
+
+def reference_double_report(m: int, verified: bool) -> dict:
+    """The double report of D(T(2, 2m+1)), its hat ranks as one dict per
+    (alexander, maslov) family and counts read off the named build; with
+    verified, its trefoil summand beside 4m - 1 acyclic boxes, and delta(D^2)
+    as the trefoil's delta(D(K))."""
+    complex = reference_double_complex(m)
+    ranks = sorted(hfk_hat_double(m).items(), reverse=True)
+    report = {
+        "knot": f"D(T(2,{2 * m + 1}))",
+        "generators": len(complex.generators),
+        "arrows": len(complex.arrows),
+        "valid": True,
+        "hfk_ranks": [{"alexander": a, "maslov": mm, "rank": r} for (a, mm), r in ranks],
+    }
+    if verified:
+        report["splitting"] = {
+            "trefoil_summand": True,
+            "acyclic_rest": True,
+            "components": [3] + [4] * (4 * m - 1),
+            "trefoil_index": 0,
+            "rest_verdict": "certified-acyclic",
+        }
+        report["delta_double_double"] = reference_delta_whitehead(Staircase((1, 1)))
+    return report
+
+
+def reference_double_text(report: dict) -> str:
+    """The text report of a reference_double_report, each value two spaces
+    past the longest key."""
+    rows = [
+        ("knot", report["knot"]),
+        ("generators", report["generators"]),
+        ("arrows", report["arrows"]),
+        ("valid", report["valid"]),
+        ("hat ranks", "(alexander, maslov) -> rank"),
+    ]
+    rows += [("", f"({r['alexander']},{r['maslov']}) -> {r['rank']}") for r in report["hfk_ranks"]]
+    if "splitting" in report:
+        split = report["splitting"]
+        rows.append(("splitting", f"trefoil={split['trefoil_summand']} "
+                     f"acyclic_rest={split['acyclic_rest']} components={split['components']}"))
+        rows.append(("delta(D^2)", report["delta_double_double"]))
+    return "\n".join(f"{key:<10}  {value}" for key, value in rows)
 
 
 def _legal_shift(gens: dict, x: str, y: str) -> int | None:

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -31,7 +30,13 @@ from cfktools.cli import main
 
 from .cli_runner import CliRunner
 from .complex_fixtures import single_box
-from .oracles import reference_knot_report, reference_report_text, torus_alexander_by_division
+from .oracles import (
+    reference_double_report,
+    reference_double_text,
+    reference_knot_report,
+    reference_report_text,
+    torus_alexander_by_division,
+)
 
 ROOT = Path(__file__).parent.parent
 
@@ -230,8 +235,8 @@ _SCALAR = (
 )
 _LEAF = st.dictionaries(_TEXT, _SCALAR, max_size=3) | st.lists(_SCALAR, max_size=3)
 _INT = st.integers() | st.integers(min_value=-(2**100), max_value=2**100) | st.just(2**100)
-# values that keep a list of records off the int-record path
-_ODD = st.sampled_from([True, False, None, 1.5, "7"])
+# non-int scalars inside record-like items
+_ODD = st.sampled_from([True, False, None, "7"])
 
 
 def _records(keys, values):
@@ -244,7 +249,7 @@ def _records(keys, values):
 
 
 _DOCUMENT = st.recursive(
-    _SCALAR | st.floats(),
+    _SCALAR,
     lambda children: (
         st.lists(children, max_size=4)
         | st.dictionaries(_TEXT, children, max_size=4)
@@ -254,11 +259,8 @@ _DOCUMENT = st.recursive(
         | _records(_TEXT, _INT | _ODD)
         # ragged: two lists of records, each on its own key set or length
         | st.tuples(_records(_TEXT, _INT), _records(_TEXT, _INT)).map(lambda pair: pair[0] + pair[1])
-        # routes that must fall back to json.dumps whole
-        | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(st.integers(), children, max_size=3)
-        | _records(st.integers(), _INT)  # its lists of lists do not fall back
-        | st.lists(_LEAF, max_size=3).map(lambda items: items + [1.5])
+        # leaf containers, then a scalar
+        | st.lists(_LEAF, max_size=3).map(lambda items: items + ["7"])
     ),
     max_leaves=20,
 )
@@ -277,15 +279,12 @@ def _record_block(draw):
     return cli._Records(keys, fields), [dict(zip(keys, row)) for row in rows]
 
 
-# a document holding record blocks, and the same document with each block
-# expanded; a float or an int key among them sends it to json.dumps
+# a document holding record blocks, and the same document with each block expanded
 _BLOCK_DOCUMENT = st.recursive(
-    _record_block() | _SCALAR.map(lambda value: (value, value)) | st.floats(allow_nan=False).map(
-        lambda value: (value, value)),
+    _record_block() | _SCALAR.map(lambda value: (value, value)),
     lambda children: (
         st.lists(children, max_size=3).map(lambda items: tuple(map(list, zip(*items))) or ([], []))
-        | (st.dictionaries(_TEXT, children, max_size=4)
-           | st.dictionaries(st.integers(), children, max_size=3)).map(lambda items: (
+        | st.dictionaries(_TEXT, children, max_size=4).map(lambda items: (
             {key: value for key, (value, _) in items.items()},
             {key: plain for key, (_, plain) in items.items()}))
     ),
@@ -299,7 +298,7 @@ class TestDumps:
     # records whose keys hold % or come in another order, and near-records
     @example({"a": [{"%d": 1, "b": 2}, {"b": -3, "%d": 2**100}], "b": [{"a": 1}, {"b": 1}],
               "c": [[1, 2], [3]], "d": [{}, {}], "e": [[], []], "f": [{"a": True}, {"a": 1}],
-              "g": [[1, 2], [3, 4.0]], "h": [[1], [None]]})
+              "g": [[1, 2], [3, "4"]], "h": [[1], [None]]})
     def test_matches_json_dumps(self, document):
         assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
 
@@ -307,8 +306,6 @@ class TestDumps:
         {"rows": [{}, {"a": 1}], "pairs": [[1, 2], []]},
         [{"a": [1]}, {"b": 2}],
         {"a": {"b": {}}, "c": [[[]]], "d": ""},
-        # deeper than _encode's stack allows, though not json.dumps'
-        functools.reduce(lambda inner, _: [inner], range(700), 0),
     ])
     def test_edge_documents(self, document):
         assert cli._dumps(document) == json.dumps(document, indent=2, sort_keys=True)
@@ -319,12 +316,8 @@ class TestDumps:
         document, expanded = documents
         assert cli._dumps(document) == json.dumps(expanded, indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("sibling", [
-        None,
-        1.5,  # a float sends the document to json.dumps
-        {1: "int key"},  # and so does an int key
-        functools.reduce(lambda inner, _: [inner], range(700), 0),  # and a RecursionError
-    ], ids=["encoded", "float", "int-key", "deep"])
+    @pytest.mark.parametrize("sibling", [None, [1, "a"], {"a": [[1], {"b": None}]}],
+                             ids=["encoded", "leaf", "nested"])
     def test_record_block_edge_cases(self, sibling):
         keys = ('"%d"', "%s", "~", "é☃")  # in sorted order, as a block's keys come
         blocks = {
@@ -341,9 +334,17 @@ class TestDumps:
         document["sibling"] = expanded["sibling"] = sibling
         assert cli._dumps(document) == json.dumps(expanded, indent=2, sort_keys=True)
 
-    def test_fallback_still_refuses_other_objects(self):
-        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-            cli._dumps({"a": cli._Records(1, (1,)), "b": 1.5, "c": {1}})
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "Object of type float is not JSON serializable"),
+        ((1, 2), "Object of type tuple is not JSON serializable"),
+        ({1}, "Object of type set is not JSON serializable"),
+        ({1: "a"}, "keys must be str, not int"),
+    ], ids=["float", "tuple", "set", "int-key"])
+    def test_refuses_values_no_verb_builds(self, value, message):
+        """Beside a record block, as a dict's value and as a list's item."""
+        for document in ({"a": cli._Records(1, (1,)), "b": value}, [[1], value]):
+            with pytest.raises(TypeError, match=message):
+                cli._dumps(document)
 
 
 _LOOSE = to_json_dict(from_staircase(Staircase((1, 1))))
@@ -431,6 +432,17 @@ class TestKnotReport:
         steps = ",".join(map(str, half + half[::-1]))
         self._check(["staircase", steps], reference_knot_report(f"St({steps})", Staircase(
             tuple(half + half[::-1]))))
+
+
+@pytest.mark.parametrize("flags", [[], ["--verify", "--delta2"]], ids=["plain", "verify-delta2"])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_double_prints_the_reference_report(runner, m, flags):
+    """double M prints exactly the report built as plain dicts and lists."""
+    report = reference_double_report(m, verified=bool(flags))
+    args = ["double", str(m), *flags]
+    expected = json.dumps({"schema": "cfk-1", **report}, indent=2, sort_keys=True) + "\n"
+    assert runner.invoke(main, ["--json", *args]).stdout == expected
+    assert runner.invoke(main, args).stdout == reference_double_text(report) + "\n"
 
 
 class TestClassify:

@@ -83,6 +83,7 @@ def test_staircase_dots_sit_at_walk_coordinates():
 
 
 @given(st.lists(st.integers(1, 6), max_size=5))
+@settings(deadline=None)
 def test_staircase_diagram_spans_tau_plus_one_cells_and_padding(half):
     # svg_for_staircase checks the grid cap on this span before building the complex
     from cfktools.diagrams import CELL, PAD_CELLS
