@@ -9,10 +9,10 @@ arrows in the order they are drawn (conflicting constraints, which graded
 complexes built here never produce, fall back to the walk tree).  Names,
 which differ in every complex, are read only to order the arrows (by source
 name, target name and upower) and the dots (by name), and for the dots'
-titles.  Fixed cell size, no styling knobs.  The grid draws a line per cell,
-so a diagram may span at most MAX_GRID_CELLS cells per axis, padding
-included; a staircase's span is checked from its vertices, before its
-complex is built.
+titles, escaped as XML text.  Fixed cell size, no styling knobs.  The grid
+draws a line per cell, so a diagram may span at most MAX_GRID_CELLS cells
+per axis, padding included; a staircase's span is checked from its
+vertices, before its complex is built.
 """
 
 from __future__ import annotations
@@ -60,7 +60,12 @@ def _check_grid(columns: int, rows: int) -> None:
 def svg_for_complex(complex: FilteredComplex) -> str:
     """The complex's diagram."""
     names = complex._names
-    ordered = sorted(complex._arrows, key=lambda a: (names[a[0]], names[a[1]], a[2]))
+    # positions in name order, the order of the dots, and each one's rank in it
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(names)
+    for r, p in enumerate(by_name):
+        rank[p] = r
+    ordered = sorted(complex._arrows, key=lambda a: (rank[a[0]], rank[a[1]], a[2]))
     cols = _columns(len(names), ordered)
     dots = [(col, alexander + col) for col, alexander in zip(cols, complex._alexander)]
     arrows = []
@@ -68,16 +73,12 @@ def svg_for_complex(complex: FilteredComplex) -> str:
         x0, y0 = dots[s]
         x1, y1 = dots[t]
         # the target's translate at column x0 - upower, on its own diagonal
-        tip = (x0 - u, y1 - x1 + x0 - u)
-        arrows.append(((x0, y0), tip))
+        arrows.append((x0, y0, x0 - u, y1 - x1 + x0 - u))
 
-    points = dots + [tip for _, tip in arrows]
-    if not points:
-        points = [(0, 0)]
-    imin = min(p[0] for p in points) - PAD_CELLS
-    imax = max(p[0] for p in points) + PAD_CELLS
-    jmin = min(p[1] for p in points) - PAD_CELLS
-    jmax = max(p[1] for p in points) + PAD_CELLS
+    xs = [x for x, _ in dots] + [a[2] for a in arrows] or [0]
+    ys = [y for _, y in dots] + [a[3] for a in arrows] or [0]
+    imin, imax = min(xs) - PAD_CELLS, max(xs) + PAD_CELLS
+    jmin, jmax = min(ys) - PAD_CELLS, max(ys) + PAD_CELLS
     columns, rows = imax - imin + 1, jmax - jmin + 1
     _check_grid(columns, rows)
     width = columns * CELL
@@ -127,23 +128,30 @@ def svg_for_complex(complex: FilteredComplex) -> str:
             f'<line class="axis" x1="0" y1="{edge_y(j)}" x2="{width}" '
             f'y2="{edge_y(j)}" stroke="#555555" stroke-width="2"/>'
         )
-    for (x0, y0), (x1, y1) in arrows:
-        sx, sy, tx, ty = cx(x0), cy(y0), cx(x1), cy(y1)
-        dx, dy = tx - sx, ty - sy
-        norm = (dx * dx + dy * dy) ** 0.5 or 1.0
-        trim = DOT_RADIUS + 2
-        lines.append(
-            f'<line class="arrow" x1="{sx + dx / norm * trim:.1f}" '
-            f'y1="{sy + dy / norm * trim:.1f}" '
-            f'x2="{tx - dx / norm * trim:.1f}" y2="{ty - dy / norm * trim:.1f}" '
-            f'stroke="black" stroke-width="1.5" marker-end="url(#tip)"/>'
-        )
-    for p in sorted(range(len(names)), key=names.__getitem__):
+    # arrows between one pair of cells draw one line, formatted once
+    drawn: dict[tuple[int, int, int, int], str] = {}
+    for cells in arrows:
+        line = drawn.get(cells)
+        if line is None:
+            x0, y0, x1, y1 = cells
+            sx, sy, tx, ty = cx(x0), cy(y0), cx(x1), cy(y1)
+            dx, dy = tx - sx, ty - sy
+            norm = (dx * dx + dy * dy) ** 0.5 or 1.0
+            trim = DOT_RADIUS + 2
+            line = drawn[cells] = (
+                f'<line class="arrow" x1="{sx + dx / norm * trim:.1f}" '
+                f'y1="{sy + dy / norm * trim:.1f}" '
+                f'x2="{tx - dx / norm * trim:.1f}" y2="{ty - dy / norm * trim:.1f}" '
+                f'stroke="black" stroke-width="1.5" marker-end="url(#tip)"/>'
+            )
+        lines.append(line)
+    dot = f'<circle class="dot" cx="%s" cy="%s" r="{DOT_RADIUS}"><title>%s</title></circle>'
+    for p in by_name:
         i, j = dots[p]
-        lines.append(
-            f'<circle class="dot" cx="{cx(i)}" cy="{cy(j)}" r="{DOT_RADIUS}">'
-            f"<title>{names[p]}</title></circle>"
-        )
+        # a title is XML text, escaped as xml.sax.saxutils.escape does, & first;
+        # that module imports urllib.request, which every cfk process would load
+        title = names[p].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        lines.append(dot % (cx(i), cy(j), title))
     lines.append("</svg>")
     return "\n".join(lines)
 

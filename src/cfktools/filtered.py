@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from . import gf2
@@ -229,15 +229,18 @@ def validate(complex: FilteredComplex) -> str | None:
             f"filtration: arrow {names[s]}->{names[t]} (upower {u}) "
             f"raises a filtration level"
         )
-    out = complex._neighbours[0]
-    for g, steps in enumerate(out):
-        # (end, upower) of the two-step paths out of g that occur an odd number
-        # of times; one middle's arrows all differ, so each toggles as a set
-        odd: set[tuple[int, int]] = set()
-        for middle, up in steps:
-            odd ^= {(end, up + down) for end, down in out[middle]}
+    # every arrow keeps the Maslov rule, so a two-step path's upower is
+    # (maslov[end] - maslov[g] + 2) / 2 and d²(g) is read from its ends alone
+    ends: list[set[int]] = [set() for _ in names]
+    for s, t, _ in complex._arrows:
+        ends[s].add(t)
+    for g, middles in enumerate(ends):
+        # the ends reached an odd number of times
+        odd: set[int] = set()
+        for middle in middles:
+            odd ^= ends[middle]
         if odd:
-            named = sorted((names[end], up) for end, up in odd)
+            named = sorted((names[end], (maslov[end] - maslov[g] + 2) // 2) for end in odd)
             return f"d-squared: d²({names[g]}) contains {named}"
     return None
 
@@ -511,6 +514,55 @@ def to_json_dict(complex: FilteredComplex) -> dict:
     }
 
 
+# each field of a complex document's records: its record list, key and type
+_FIELDS = (
+    ("generators", "name", str),
+    ("generators", "alexander", int),
+    ("generators", "maslov", int),
+    ("arrows", "from", str),
+    ("arrows", "to", str),
+    ("arrows", "upower", int),
+)
+
+
+def complex_from_json_dict(data: dict) -> FilteredComplex:
+    """Inverse of to_json_dict; names must be strings and gradings integers.
+
+    A malformed field, then duplicate arrows, raise ValueError; then a
+    repeated name, then an arrow end that names no generator, raise
+    CFKError in validate's words.
+    """
+    try:
+        complex = _from_columns(data)
+    except (KeyError, TypeError):  # a missing key, a record that is no dict, a loose end
+        complex = None
+    return _from_records(data) if complex is None else complex
+
+
+def _from_columns(data: dict) -> FilteredComplex | None:
+    """The complex data describes, each field read as one column of its
+    record list; None when a record list is no list, a value's type is not
+    exactly its field's, or a name or an arrow repeats.  A missing key, a
+    record that is no dict and an arrow end that names no generator raise
+    KeyError or TypeError."""
+    columns = []
+    for part, key, kind in _FIELDS:
+        records = data[part]
+        if type(records) is not list:
+            return None
+        column = tuple(map(itemgetter(key), records))
+        if not set(map(type, column)) <= {kind}:
+            return None
+        columns.append(column)
+    names, alexander, maslov, sources, targets, upowers = columns
+    index = _index_of(names)
+    at = index.__getitem__
+    arrows = frozenset(zip(map(at, sources), map(at, targets), upowers))
+    if len(index) != len(names) or len(arrows) != len(upowers):
+        return None
+    return FilteredComplex._build(names, alexander, maslov, arrows, index)
+
+
 def _field(record: dict, key: str, kind: type):
     """record[key], which must be exactly of type kind (so no bool for int)."""
     value = record[key]
@@ -521,13 +573,9 @@ def _field(record: dict, key: str, kind: type):
     return value
 
 
-def complex_from_json_dict(data: dict) -> FilteredComplex:
-    """Inverse of to_json_dict; names must be strings and gradings integers.
-
-    A malformed field, then duplicate arrows, raise ValueError; then a
-    repeated name, then an arrow end that names no generator, raise
-    CFKError in validate's words.
-    """
+def _from_records(data: dict) -> FilteredComplex:
+    """complex_from_json_dict read record by record and field by field, so
+    that the first defect in the document's order is the one reported."""
     try:
         gens = [
             (_field(g, "name", str), _field(g, "alexander", int), _field(g, "maslov", int))

@@ -14,19 +14,23 @@ move-by-move diagonal elimination over plain arrow tuples, the column
 homology over slices keyed by (generator, upower), the d1 search as one
 span test per U-power, the acyclicity certificate by repeated unit-pivot
 search over sets of Laurent exponents, the double's complex from named
-generators and arrows, the SVG diagram laid out by generator name, and
-the naming defect validate reports of named lists.
+generators and arrows, the SVG diagram laid out by generator name, the
+naming defect validate reports of named lists, the complex document read
+record by record and field by field, and validate's checks over named
+arrows with d² counted path by path.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations
+from xml.sax.saxutils import escape
 
 from cfktools import (
     AcyclicityReport,
     Arrow,
+    CFKError,
     FilteredComplex,
     Generator,
     NotAKnotComplex,
@@ -289,6 +293,71 @@ def reference_naming_defect(generators: list, arrows: list) -> str | None:
     loose = sorted(tuple(a) for a in arrows if a[0] not in names or a[1] not in names)
     if loose:
         return f"unknown-generator: arrow {loose[0][0]}->{loose[0][1]} has a loose end"
+    return None
+
+
+def _typed(record: dict, key: str, kind: type):
+    value = record[key]
+    if type(value) is not kind:
+        raise ValueError(
+            f"malformed complex document: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def reference_complex_from_json_dict(data: dict) -> FilteredComplex:
+    """The complex a document describes, read record by record and field by
+    field: the first malformed field in document order, then duplicate
+    arrows, raise ValueError; then the naming defect raises CFKError."""
+    try:
+        gens = [
+            Generator(_typed(g, "name", str), _typed(g, "alexander", int), _typed(g, "maslov", int))
+            for g in data["generators"]
+        ]
+        arrows = [
+            Arrow(_typed(a, "from", str), _typed(a, "to", str), _typed(a, "upower", int))
+            for a in data["arrows"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed complex document: {exc}") from exc
+    if len(set(arrows)) != len(arrows):
+        raise ValueError("malformed complex document: duplicate arrows")
+    defect = reference_naming_defect(gens, arrows)
+    if defect:
+        raise CFKError(defect)
+    return FilteredComplex(gens, arrows)
+
+
+def reference_validate(complex: FilteredComplex) -> str | None:
+    """validate's report over named arrows: the least arrow that breaks the
+    Maslov rule or a filtration, else the first generator, in the complex's
+    order, some (end, upower) of whose two-step paths occur an odd number of
+    times, each path counted."""
+    gens = {g.name: g for g in complex.generators}
+    for a in sorted(complex.arrows):
+        s, t = gens[a.source], gens[a.target]
+        if t.maslov - 2 * a.upower != s.maslov - 1:
+            return (
+                f"maslov: arrow {a.source}->{a.target} (upower {a.upower}) "
+                f"does not drop the grading by one"
+            )
+        if a.upower < 0 or t.alexander - a.upower > s.alexander:
+            return (
+                f"filtration: arrow {a.source}->{a.target} (upower {a.upower}) "
+                f"raises a filtration level"
+            )
+    out: dict[str, list[Arrow]] = {name: [] for name in gens}
+    for a in complex.arrows:
+        out[a.source].append(a)
+    for g in complex.generators:
+        paths = Counter(
+            (second.target, first.upower + second.upower)
+            for first in out[g.name]
+            for second in out[first.target]
+        )
+        odd = sorted(path for path, count in paths.items() if count % 2)
+        if odd:
+            return f"d-squared: d²({g.name}) contains {odd}"
     return None
 
 
@@ -847,7 +916,7 @@ def reference_svg_for_complex(complex: FilteredComplex) -> str:
         i, j = dots[name]
         lines.append(
             f'<circle class="dot" cx="{cx(i)}" cy="{cy(j)}" r="{DOT_RADIUS}">'
-            f"<title>{name}</title></circle>"
+            f"<title>{escape(name)}</title></circle>"
         )
     lines.append("</svg>")
     return "\n".join(lines)

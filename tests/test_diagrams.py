@@ -112,11 +112,11 @@ def test_refuses_in_validates_words(gens, arrows, report):
 
 
 @st.composite
-def graded_complexes(draw):
-    """Up to 8 generators under distinct names in shuffled order, so that
-    name order and position order differ, with some of the arrows the Maslov
-    rule allows (any upower it pins, filtration unchecked)."""
-    names = draw(st.lists(st.text("abxy'1", min_size=1, max_size=3), max_size=8, unique=True))
+def graded_complexes(draw, alphabet="abxy'1"):
+    """Up to 8 generators under distinct names over alphabet in shuffled
+    order, so that name order and position order differ, with some of the
+    arrows the Maslov rule allows (any upower it pins, filtration unchecked)."""
+    names = draw(st.lists(st.text(alphabet, min_size=1, max_size=3), max_size=8, unique=True))
     gens = [Generator(n, draw(st.integers(-2, 2)), draw(st.integers(-3, 3))) for n in names]
     gens = draw(st.permutations(gens))
     allowed = [
@@ -133,8 +133,21 @@ STAIRCASES = st.lists(st.integers(1, 3), max_size=3).map(
 )
 
 
+# characters that XML text must escape, and the quotes, which it need not
+MARKUP = "ab&<>\"'"
+
+
+@given(graded_complexes(MARKUP))
+@settings(deadline=None)
+def test_titles_read_back_as_the_names(complex):
+    root = ET.fromstring(svg_for_complex(complex))
+    titles = [title.text for title in root.iterfind(".//svg:circle/svg:title", SVG_NS)]
+    assert titles == sorted(complex.names())
+
+
 @given(
     graded_complexes()
+    | graded_complexes(MARKUP)
     | st.builds(scrambled_double, st.integers(1, 6), st.integers(0, 1 << 16), st.integers(1, 16))
     | STAIRCASES.map(from_staircase).map(lambda c: tensor(c, c))
 )

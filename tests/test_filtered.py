@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from collections import Counter
@@ -50,10 +51,12 @@ from .complex_fixtures import (
 from .oracles import (
     _apply_move,
     isomorphic_up_to_shift,
+    reference_complex_from_json_dict,
     reference_naming_defect,
     reference_remove_diagonals,
     reference_split_summands,
     reference_tensor,
+    reference_validate,
     tensor_vertex_multiset,
 )
 
@@ -171,6 +174,34 @@ def loose_complexes(draw, names="abc"):
     ends = st.sampled_from([*names, "ghost", "x*y"])
     arrows = draw(st.lists(st.builds(Arrow, ends, ends, st.integers(-1, 2)), max_size=8))
     return gens, arrows + draw(st.lists(st.sampled_from(arrows), max_size=3) if arrows else st.just([]))
+
+
+def _legal_arrows(complex):
+    """Every arrow the complex's gradings allow: the upower the Maslov rule
+    pins, at least 0, raising no filtration level."""
+    return [
+        Arrow(s.name, t.name, upower)
+        for s in complex.generators
+        for t in complex.generators
+        for upower, odd in [divmod(t.maslov - s.maslov + 1, 2)]
+        if not odd and upower >= 0 and t.alexander - upower <= s.alexander
+    ]
+
+
+@st.composite
+def toggled_complexes(draw):
+    """A staircase's complex, its square or a double, its generators
+    shuffled, with one to three arrows its gradings allow toggled, so that
+    its d² may no longer be zero but every arrow keeps the rules."""
+    complex = draw(
+        PALINDROMES.map(from_staircase)
+        | PALINDROMES.map(lambda s: tensor(from_staircase(s), from_staircase(s)))
+        | st.integers(1, 3).map(build_double_complex)
+    )
+    complex = FilteredComplex(draw(st.permutations(complex.generators)), complex.arrows)
+    legal = _legal_arrows(complex)
+    toggles = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=3)) if legal else []
+    return complex.with_arrows(complex.arrows ^ set(toggles))
 
 
 def _named_part(gens, arrows):
@@ -411,8 +442,29 @@ class TestValidate:
             [Generator("a", 0, 0), Generator("b", 0, -1), Generator("c", 0, -2)],
             [Arrow("a", "b", 0), Arrow("b", "c", 0)],
         )
-        report = validate(c)
-        assert report is not None and report.startswith("d-squared")
+        assert validate(c) == "d-squared: d²(a) contains [('c', 0)]"
+
+    @given(toggled_complexes())
+    @settings(deadline=None)
+    def test_d_squared_report_matches_the_reference(self, complex):
+        report = validate(complex)
+        assert report == reference_validate(complex)
+        assert report is None or report.startswith("d-squared")
+
+    @given(toggled_complexes(), st.data())
+    @settings(deadline=None)
+    def test_maslov_report_matches_the_reference(self, complex, data):
+        gens = st.sampled_from(complex.generators)
+        off_rule = st.builds(
+            lambda s, t, u: Arrow(s.name, t.name, u), gens, gens, st.integers(-2, 3)
+        ).filter(
+            lambda a: complex.generator(a.target).maslov - 2 * a.upower
+            != complex.generator(a.source).maslov - 1
+        )
+        broken = complex.with_arrows(complex.arrows | set(data.draw(st.lists(off_rule, min_size=1, max_size=2))))
+        report = validate(broken)
+        assert report == reference_validate(broken)
+        assert report.startswith("maslov")
 
     def test_duplicate_names(self):
         """Refused in validate's words where the complex is built."""
@@ -851,6 +903,57 @@ JSON_DOCUMENTS = (
 )
 
 
+# complexes valid or not, their names from loose_complexes' alphabet or
+# shuffled, and their documents as json.load reads them
+LOADABLE_DOCUMENTS = (
+    PALINDROMES.map(lambda s: tensor(from_staircase(s), from_staircase(s)))
+    | shuffled_scrambled_doubles()
+    | loose_complexes().map(lambda drawn: FilteredComplex(*_named_part(*drawn)))
+).map(lambda complex: json.loads(json.dumps(to_json_dict(complex))))
+_WRONG_TYPES = st.sampled_from([True, False, 1.5, None, [0], ["s0"]])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A complex's document after one to three mutations, each a field
+    retyped, a key dropped, a record replaced by a list, a str or None, the
+    document made a list, an arrow repeated, a loose end or a repeated name
+    (one that finds no record to change leaves the document as it is)."""
+    document = draw(LOADABLE_DOCUMENTS)
+    gens, arrows = document["generators"], document["arrows"]
+    names = [g["name"] for g in gens] or ["s0"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["retype", "drop", "record", "top", "duplicate", "loose", "repeat"]
+        ))
+        records = draw(st.sampled_from([gens, arrows]))
+        where = draw(st.integers(0, len(records)))
+        if kind == "top":
+            document = draw(st.sampled_from([[document], [gens, arrows], []]))
+        elif kind == "duplicate" and arrows:
+            arrows.insert(where % (len(arrows) + 1), copy.copy(draw(st.sampled_from(arrows))))
+        elif kind == "loose":
+            end = draw(st.sampled_from(names))
+            ends = draw(st.sampled_from([(end, "ghost"), ("ghost", end)]))
+            arrows.insert(where % (len(arrows) + 1), dict(zip(("from", "to"), ends), upower=0))
+        elif kind == "repeat":
+            gens.insert(where % (len(gens) + 1),
+                        {"name": draw(st.sampled_from(names)), "alexander": 0, "maslov": 0})
+        elif where < len(records):
+            record = records[where]
+            if kind == "record":
+                records[where] = draw(st.sampled_from(
+                    [list(record.values()) if isinstance(record, dict) else [], "s0", None]
+                ))
+            elif isinstance(record, dict) and record:
+                key = draw(st.sampled_from(sorted(record)))
+                if kind == "retype":
+                    record[key] = draw(_WRONG_TYPES)
+                else:
+                    del record[key]
+    return document
+
+
 class TestJson:
     @given(
         PALINDROMES.map(from_staircase)
@@ -872,6 +975,25 @@ class TestJson:
             return
         report = validate(complex)
         assert report is None or isinstance(report, str)
+
+    @given(LOADABLE_DOCUMENTS)
+    @settings(deadline=None)
+    def test_loads_the_complex_the_reference_loads(self, document):
+        assert complex_from_json_dict(document) == reference_complex_from_json_dict(document)
+
+    @given(mutated_documents())
+    @settings(deadline=None)
+    def test_refuses_as_the_reference_refuses(self, document):
+        """The same exception class and text, for the first defect in
+        document order, as the record-by-record reference."""
+        try:
+            want = reference_complex_from_json_dict(document)
+        except (ValueError, CFKError) as exc:
+            with pytest.raises(type(exc)) as refused:
+                complex_from_json_dict(document)
+            assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        else:
+            assert complex_from_json_dict(document) == want
 
     def test_round_trip_bit_exact(self):
         c = tensor(TREFOIL, from_staircase(Staircase((1, 2, 2, 1))))
