@@ -6,9 +6,14 @@ global --json flag, given before the verb, switches every verb to a
 versioned JSON document (schema key "cfk-1"); the default is aligned
 human-readable text, and each verb builds only the form it prints.
 
-One stdlib argparse parser tree is built at import.  Each verb is a function
-from the parsed arguments to the text it writes to stdout.  ``main`` parses,
-runs the verb and writes its text.  Usage errors (a malformed command line
+One stdlib argparse parser tree is built at import, and walked once into a
+table of each parser's defaults, options, positionals and sub-commands.  A
+command line in canonical form (the root's flags before the command, each
+option spelled out in full, given once and followed by its value, and no
+value that starts with -) is read from that table; argparse reads every
+other, and prints every usage line, error and help text.  Each verb is a
+function from the parsed arguments to the text it writes to stdout.
+``main`` parses, runs the verb and writes its text.  Usage errors (a malformed command line
 or a parameter out of range) exit 2 and computation errors exit 1, each
 with one ``Error: ...`` line on stderr, after the usage line when the
 command line did not parse; ``main(args, standalone_mode=False)`` raises
@@ -40,6 +45,7 @@ import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import diagrams, doubles
 from .doubles import (
@@ -414,11 +420,13 @@ def _check_square(generators: int) -> None:
 
 
 def _write_svg(document: str, path: str) -> str:
-    """Write the SVG document to the file at path; returns the line that says so."""
+    """Write the SVG document to the file at path; returns the line that says so.
+    The path is opened only once the document has encoded."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-    except OSError as exc:
+        data = document.encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except (UnicodeEncodeError, OSError) as exc:
         raise CFKError(f"cannot write {path}: {exc}")
     return f"wrote {path}\n"
 
@@ -591,8 +599,109 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+class _Grammar(NamedTuple):
+    """What _quick_parse reads of one parser in _PARSER's tree."""
+
+    defaults: dict  # what the parser sets before it reads a token
+    options: dict  # option string -> its plain store or store_const action
+    required: frozenset  # the options that must be given
+    positionals: tuple  # the positional actions, in order
+    commands: dict  # sub-command name -> its _Grammar, if the last positional is one
+
+
+def _grammar(parser: argparse.ArgumentParser) -> _Grammar | None:
+    """parser's _Grammar, or None if it declares what _quick_parse does not
+    read: a positional other than a single value or a last sub-command that
+    sets no dest, a string default that its type would convert, or an
+    exclusive group.  A sub-command that is not read is left out."""
+    actions = parser._actions
+    positionals = plain = tuple(action for action in actions if not action.option_strings)
+    commands = {}
+    if positionals and isinstance(positionals[-1], argparse._SubParsersAction):
+        if positionals[-1].dest is not argparse.SUPPRESS:
+            return None
+        plain = positionals[:-1]
+        for name, sub in positionals[-1].choices.items():
+            if (grammar := _grammar(sub)) is not None:
+                commands[name] = grammar
+    if (parser._mutually_exclusive_groups
+            or any(type(action) is not argparse._StoreAction or action.nargs is not None
+                   for action in plain)
+            or any(isinstance(action.default, str) and action.type for action in actions)):
+        return None
+    # argparse sets each action's default, then the parser's other defaults
+    defaults: dict = {}
+    for action in actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    options = {
+        string: action
+        for action in actions
+        if (type(action) is argparse._StoreAction and action.nargs is None)
+        or isinstance(action, argparse._StoreConstAction)
+        for string in action.option_strings
+    }
+    required = frozenset(action for action in actions if action.option_strings and action.required)
+    return _Grammar(defaults, options, required, positionals, commands)
+
+
+_GRAMMAR = _grammar(_PARSER)
+
+
+def _read(command: _Grammar, tokens, values: dict) -> bool:
+    """Read tokens into values as command's parser would; False unless they
+    are in the canonical form _quick_parse reads."""
+    values.update(command.defaults)
+    positionals, given = iter(command.positionals), set()
+    for token in tokens:
+        if token.startswith("-"):
+            action = command.options.get(token)
+            if action is None or action in given:
+                return False
+            given.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value reads as one that starts with -
+            if token.startswith("-"):
+                return False
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return False
+            if isinstance(action, argparse._SubParsersAction):
+                sub = command.commands.get(token)
+                return sub is not None and given >= command.required and _read(sub, tokens, values)
+        value = action.type(token) if action.type else token
+        if action.choices is not None and value not in action.choices:
+            return False
+        values[action.dest] = value
+    return next(positionals, None) is None and given >= command.required
+
+
+def _quick_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace _PARSER.parse_args(argv) returns, read from _GRAMMAR, or
+    None unless argv is in canonical form.
+
+    That form gives the root's flags before the command, each option spelled
+    out in full and given at most once, each option's value as the next
+    token, and no value or positional that starts with -.  Each value passes
+    through its action's type and choices.  Everything else, from --help,
+    --opt=value and -- to a value its type refuses, is left to argparse, which
+    reads it again and prints every usage line, error and help text.
+    """
+    values: dict = {}
+    try:
+        read = _read(_GRAMMAR, iter(argv), values)
+    except (UsageError, argparse.ArgumentTypeError, TypeError, ValueError):
+        return None  # argparse converts the value again and reports it
+    return argparse.Namespace(**values) if read else None
+
+
 def _run(argv: list[str]) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _quick_parse(argv) or _PARSER.parse_args(argv)
     try:
         text = args.run(args)
     except (InvalidParameter, InvalidTorusParameters) as exc:

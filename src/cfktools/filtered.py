@@ -37,14 +37,17 @@ complex is built by name (the constructor, with_arrows, tensor of factors
 whose names hold a '*', and complex_from_json_dict), and each refuses a
 repeated name or an arrow whose end names no generator with a CFKError in
 validate's words, so every complex's names differ and its arrows join
-generators.
+generators.  complex_from_json_dict also refuses a name that holds a
+character no diagram title or one-line message can carry.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -525,11 +528,20 @@ _FIELDS = (
 )
 
 
+# the characters no name in a complex document may hold: C0 controls, lone
+# surrogates, U+FFFE and U+FFFF.  XML 1.0 carries none of them but tab, LF
+# and CR, which go too: names are printed in one-line messages, and an XML
+# reader gives a CR in a diagram's titles back as LF.  The pattern is
+# compiled, into re's cache, by the first search, not at import.
+_UNWRITABLE = r"[\x00-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
 def complex_from_json_dict(data: dict) -> FilteredComplex:
     """Inverse of to_json_dict; names must be strings and gradings integers.
 
-    A malformed field, then duplicate arrows, raise ValueError; then a
-    repeated name, then an arrow end that names no generator, raise
+    A malformed field, then duplicate arrows, raise ValueError; then a name
+    that holds a C0 control character, a lone surrogate, U+FFFE or U+FFFF,
+    then a repeated name, then an arrow end that names no generator, raise
     CFKError in validate's words.
     """
     try:
@@ -542,9 +554,10 @@ def complex_from_json_dict(data: dict) -> FilteredComplex:
 def _from_columns(data: dict) -> FilteredComplex | None:
     """The complex data describes, each field read as one column of its
     record list; None when a record list is no list, a value's type is not
-    exactly its field's, or a name or an arrow repeats.  A missing key, a
-    record that is no dict and an arrow end that names no generator raise
-    KeyError or TypeError."""
+    exactly its field's, a generator name holds a character no name may
+    hold, or a name or an arrow repeats.  A missing key, a record that is
+    no dict and an arrow end that names no generator raise KeyError or
+    TypeError."""
     columns = []
     for part, key, kind in _FIELDS:
         records = data[part]
@@ -555,6 +568,9 @@ def _from_columns(data: dict) -> FilteredComplex | None:
             return None
         columns.append(column)
     names, alexander, maslov, sources, targets, upowers = columns
+    # an arrow end that is no generator's name raises KeyError below
+    if re.search(_UNWRITABLE, "".join(names)):
+        return None
     index = _index_of(names)
     at = index.__getitem__
     arrows = frozenset(zip(map(at, sources), map(at, targets), upowers))
@@ -587,14 +603,12 @@ def _from_records(data: dict) -> FilteredComplex:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
-    names, alexander, maslov = zip(*gens) if gens else ((), (), ())
-    index = _index_of(names)
-    try:
-        triples = _positions(names, index, arrows)
-    except CFKError:
-        if len(set(arrows)) == len(arrows):
-            raise
-        triples = ()  # duplicate arrows are reported first
-    if len(triples) != len(arrows):
+    if len(set(arrows)) != len(arrows):
         raise ValueError("malformed complex document: duplicate arrows")
-    return FilteredComplex._build(names, alexander, maslov, triples, index)
+    names, alexander, maslov = zip(*gens) if gens else ((), (), ())
+    for name in chain(names, chain.from_iterable(a[:2] for a in arrows)):
+        if match := re.search(_UNWRITABLE, name):
+            raise CFKError(f"unwritable-name: name {name!r} holds {match.group()!r}; names hold "
+                           f"no C0 control character, lone surrogate, U+FFFE or U+FFFF")
+    index = _index_of(names)
+    return FilteredComplex._build(names, alexander, maslov, _positions(names, index, arrows), index)

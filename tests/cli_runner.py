@@ -16,13 +16,16 @@ from dataclasses import dataclass
 
 
 class _Stream(io.StringIO):
-    """A captured stream that also logs each write, in order, to a shared list."""
+    """A captured stream that also logs each write, in order, to a shared
+    list.  Each write must encode as strict UTF-8, so text that a terminal's
+    stream could not carry fails the command that wrote it."""
 
     def __init__(self, log: list[str]) -> None:
         super().__init__()
         self._log = log
 
     def write(self, text: str) -> int:
+        text.encode("utf-8")
         self._log.append(text)
         return super().write(text)
 

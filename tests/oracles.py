@@ -296,6 +296,16 @@ def reference_naming_defect(generators: list, arrows: list) -> str | None:
     return None
 
 
+def reference_unwritable_char(name: str) -> str | None:
+    """The first character of name outside XML 1.0's Char production, or
+    tab, LF or CR, which names may not hold either; else None."""
+    for char in name:
+        code = ord(char)
+        if not (0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF):
+            return char
+    return None
+
+
 def _typed(record: dict, key: str, kind: type):
     value = record[key]
     if type(value) is not kind:
@@ -308,7 +318,9 @@ def _typed(record: dict, key: str, kind: type):
 def reference_complex_from_json_dict(data: dict) -> FilteredComplex:
     """The complex a document describes, read record by record and field by
     field: the first malformed field in document order, then duplicate
-    arrows, raise ValueError; then the naming defect raises CFKError."""
+    arrows, raise ValueError; then the first name, generators' then arrow
+    ends', that reference_unwritable_char finds a character in, then the
+    naming defect, raise CFKError."""
     try:
         gens = [
             Generator(_typed(g, "name", str), _typed(g, "alexander", int), _typed(g, "maslov", int))
@@ -322,6 +334,11 @@ def reference_complex_from_json_dict(data: dict) -> FilteredComplex:
         raise ValueError(f"malformed complex document: {exc}") from exc
     if len(set(arrows)) != len(arrows):
         raise ValueError("malformed complex document: duplicate arrows")
+    for name in [g.name for g in gens] + [end for a in arrows for end in (a.source, a.target)]:
+        char = reference_unwritable_char(name)
+        if char is not None:
+            raise CFKError(f"unwritable-name: name {name!r} holds {char!r}; names hold "
+                           f"no C0 control character, lone surrogate, U+FFFE or U+FFFF")
     defect = reference_naming_defect(gens, arrows)
     if defect:
         raise CFKError(defect)

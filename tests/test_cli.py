@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cfktools import (
     CFKError,
@@ -857,3 +858,177 @@ class TestFrontEnd:
             monkeypatch.setattr(cli, name, text)
         assert runner.invoke(main, args).exit_code == 0
         assert counted == calls
+
+
+@pytest.fixture
+def in_argv_files(tmp_path, monkeypatch):
+    """Run in a directory that holds c.json, a complex, and d, a directory;
+    missing.json and o.svg do not exist.  Parsing writes no file, so one
+    directory serves every example of a property test."""
+    (tmp_path / "c.json").write_text(json.dumps(to_json_dict(from_staircase(Staircase((1, 1))))))
+    (tmp_path / "d").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+
+_PATHS = st.sampled_from(["c.json", "missing.json", "d", "o.svg"])
+_INTEGERS = st.sampled_from(["3", "4", "5", " 3", "+2", "-2", "1_1", "x", ""])
+_STEPS = st.sampled_from(["1,1", "1,2,2,1", "", "-1", "1, 1", "x"])
+# tokens a mutation inserts: option strings of every command, spellings only
+# argparse reads, and words, numbers and values
+_TOKENS = st.sampled_from([
+    "-h", "--help", "--", "-", "--json", "--verify", "--delta2", "--svg", "--svg=o.svg",
+    "--tensor-square", "--complex", "--family", "--fam", "--format", "--format=json",
+    "torus", "staircase", "double", "complex", "classify", "3", "-2", "json", "torus:5", "",
+])
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from the command grammar, its options in any order and
+    some left out, then with zero to two tokens swapped, inserted or deleted."""
+    def knot():
+        if draw(st.booleans()):
+            return ["torus", draw(_INTEGERS), draw(_INTEGERS)]
+        return ["staircase", draw(_STEPS)]
+
+    verb = draw(st.sampled_from(["report", "double", "d1", "classify", "diagram", "table"]))
+    options: list[list[str]] = []
+    if verb == "report":
+        words = knot()
+    elif verb == "double":
+        words, options = ["double", draw(_INTEGERS)], [["--verify"], ["--delta2"]]
+    elif verb == "d1":
+        words, options = ["d1"], [["--complex", draw(_PATHS)]]
+    elif verb == "classify":
+        words = ["classify", *knot()]
+    elif verb == "diagram":
+        kind = draw(st.sampled_from(["knot", "double", "complex"]))
+        if kind == "knot":
+            words = ["diagram", *knot()]
+        else:
+            words = ["diagram", kind, draw(_INTEGERS if kind == "double" else _PATHS)]
+        options = [["--svg", draw(_PATHS)]] + [["--tensor-square"]] * (kind != "double")
+    else:
+        words = ["table"]
+        options = [["--family", draw(st.sampled_from(["torus:5", "t2:2", "torus:x", "-t2:1"]))],
+                   ["--format", draw(st.sampled_from(["csv", "json", "xml", ""]))]]
+    options = draw(st.permutations(options))[:draw(st.integers(0, len(options)))]
+    argv = ["--json"] * draw(st.booleans()) + words + list(chain.from_iterable(options))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["swap", "insert", "delete"]))
+        if edit == "insert":
+            argv.insert(where, draw(_TOKENS))
+        elif where < len(argv):
+            other = draw(st.integers(0, len(argv) - 1))
+            if edit == "swap":
+                argv[where], argv[other] = argv[other], argv[where]
+            else:
+                del argv[where]
+    return argv
+
+
+def _argparse_reading(argv: list[str]) -> dict | None:
+    """vars of the namespace cli._PARSER reads from argv, or None when it
+    raises UsageError or exits (as --help does)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli._PARSER.parse_args(argv))
+    except (cli.UsageError, SystemExit):
+        return None
+
+
+# spellings the fast reader leaves to argparse, each of which argparse reads
+# or refuses: an --opt=value, a repeated flag, a value like -2, --, --help,
+# a missing --complex file, a directory and a --format outside its choices
+_LEFT_TO_ARGPARSE = [
+    ["diagram", "torus", "3", "4", "--svg=o.svg"],
+    ["--json", "--json", "torus", "3", "4"],
+    ["torus", "-2", "3"],
+    ["--"],
+    ["-h"],
+    ["torus", "--help"],
+    ["d1", "--complex", "missing.json"],
+    ["d1", "--complex", "d"],
+    ["table", "--family", "torus:5", "--format", "xml"],
+]
+# canonical command lines, among them an option between positionals, a value
+# padded with a space and an empty staircase, which the reader reads as argparse does
+_CANONICAL = [
+    ["torus", "3", "4"],
+    ["--json", "classify", "staircase", "1,1"],
+    ["double", "3", "--verify", "--delta2"],
+    ["double", "--verify", "3"],
+    ["torus", " 3", "4"],
+    ["staircase", ""],
+    ["d1", "--complex", "c.json"],
+    ["diagram", "complex", "c.json", "--svg", "o.svg", "--tensor-square"],
+    ["--json", "table", "--format", "json", "--family", "torus:5"],
+]
+
+
+class TestQuickParse:
+    @given(argv=command_lines())
+    @settings(deadline=None, max_examples=1500,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_what_argparse_reads_or_leaves_it(self, in_argv_files, argv):
+        """The fast reader returns argparse's namespace or None, and None
+        whenever argparse refuses the command line or exits."""
+        quick = cli._quick_parse(argv)
+        assert quick is None or vars(quick) == _argparse_reading(argv)
+
+    @pytest.mark.parametrize("argv", _LEFT_TO_ARGPARSE)
+    def test_leaves_other_spellings_to_argparse(self, in_argv_files, argv):
+        assert cli._quick_parse(argv) is None
+
+    @pytest.mark.parametrize("argv", _CANONICAL)
+    def test_reads_canonical_command_lines(self, in_argv_files, argv):
+        quick = cli._quick_parse(argv)
+        assert quick is not None and vars(quick) == _argparse_reading(argv)
+
+    def test_rare_spellings_print_what_their_canonical_forms_print(self, runner, tmp_path):
+        for rare, canonical in [
+            (["double", "--verify", "1"], ["double", "1", "--verify"]),
+            (["--json", "--json", "torus", "3", "4"], ["--json", "torus", "3", "4"]),
+            (["table", "--format=json", "--family", "torus:5"],
+             ["table", "--format", "json", "--family", "torus:5"]),
+        ]:
+            assert runner.invoke(main, rare).stdout_bytes == runner.invoke(main, canonical).stdout_bytes
+        one, other = tmp_path / "a.svg", tmp_path / "b.svg"
+        assert runner.invoke(main, ["diagram", "torus", "3", "4", f"--svg={one}"]).exit_code == 0
+        assert runner.invoke(main, ["diagram", "torus", "3", "4", "--svg", str(other)]).exit_code == 0
+        assert one.read_bytes() == other.read_bytes()
+
+
+@pytest.mark.parametrize("name, char", [("a\ud800b", "\ud800"), ("a\u0001b", "\u0001"),
+                                        ("a\rb", "\r")], ids=["surrogate", "control", "cr"])
+@pytest.mark.parametrize("verb", [["diagram", "complex", "c.json", "--svg", "o.svg"],
+                                  ["d1", "--complex", "c.json"]], ids=["diagram", "d1"])
+def test_name_no_output_can_carry_is_refused(runner, tmp_path, monkeypatch, name, char, verb):
+    """No traceback, one stderr line that names the name with repr, and no SVG."""
+    monkeypatch.chdir(tmp_path)
+    # json.dumps writes a lone surrogate as \ud800, which json.load reads back
+    (tmp_path / "c.json").write_text(
+        json.dumps({"generators": [{"name": name, "alexander": 0, "maslov": 0}], "arrows": []})
+    )
+    result = runner.invoke(main, verb)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Error: invalid complex: unwritable-name: name {name!r} holds {char!r}; "
+        "names hold no C0 control character, lone surrogate, U+FFFE or U+FFFF\n"
+    )
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_svg_is_encoded_before_its_file_is_opened(tmp_path):
+    path = tmp_path / "o.svg"
+    with pytest.raises(CFKError, match="cannot write .*surrogates not allowed"):
+        cli._write_svg("<svg>\ud800</svg>", str(path))
+    assert not path.exists()
+
+
+def test_runner_fails_a_write_that_utf8_cannot_encode(runner):
+    result = runner.invoke(lambda args: print("a\ud800b"), [])
+    assert result.exit_code == 1 and isinstance(result.exception, UnicodeEncodeError)
+

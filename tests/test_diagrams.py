@@ -10,6 +10,7 @@ from cfktools import (
     Generator,
     Staircase,
     build_double_complex,
+    complex_from_json_dict,
     from_staircase,
     tau,
     tensor,
@@ -17,7 +18,7 @@ from cfktools import (
 from cfktools.diagrams import svg_for_complex, svg_for_staircase
 
 from .complex_fixtures import scrambled_double
-from .oracles import reference_svg_for_complex
+from .oracles import reference_svg_for_complex, reference_unwritable_char
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -143,6 +144,25 @@ def test_titles_read_back_as_the_names(complex):
     root = ET.fromstring(svg_for_complex(complex))
     titles = [title.text for title in root.iterfind(".//svg:circle/svg:title", SVG_NS)]
     assert titles == sorted(complex.names())
+
+
+@given(st.lists(st.text(st.characters(exclude_categories=()), min_size=1, max_size=3),
+                min_size=1, max_size=4, unique=True))
+@settings(deadline=None)
+def test_every_name_the_loader_takes_reads_back(names):
+    """A loaded complex's SVG parses as UTF-8 XML, each title its name; the
+    loader refuses exactly the names with a character names may not hold."""
+    document = {"generators": [{"name": n, "alexander": 0, "maslov": 0} for n in names],
+                "arrows": []}
+    try:
+        complex = complex_from_json_dict(document)
+    except CFKError:
+        assert any(reference_unwritable_char(n) is not None for n in names)
+        return
+    assert all(reference_unwritable_char(n) is None for n in names)
+    root = ET.fromstring(svg_for_complex(complex).encode("utf-8"))
+    titles = [title.text for title in root.iterfind(".//svg:circle/svg:title", SVG_NS)]
+    assert titles == sorted(names)
 
 
 @given(

@@ -911,20 +911,27 @@ LOADABLE_DOCUMENTS = (
     | loose_complexes().map(lambda drawn: FilteredComplex(*_named_part(*drawn)))
 ).map(lambda complex: json.loads(json.dumps(to_json_dict(complex))))
 _WRONG_TYPES = st.sampled_from([True, False, 1.5, None, [0], ["s0"]])
+# the edges of the characters names may hold, and any character at all
+_NAME_CHARS = st.sampled_from(
+    ["\x00", "\t", "\n", "\r", "\x1f", " ", "\x7f", "\x85", "\u2028", "\ud7ff", "\ud800",
+     "\udfff", "\ue000", "\ufffd", "\ufffe", "\uffff", "\U00010000", "\U0010ffff"]
+) | st.characters(exclude_categories=())
 
 
 @st.composite
 def mutated_documents(draw):
     """A complex's document after one to three mutations, each a field
     retyped, a key dropped, a record replaced by a list, a str or None, the
-    document made a list, an arrow repeated, a loose end or a repeated name
-    (one that finds no record to change leaves the document as it is)."""
+    document made a list, an arrow repeated, a loose end, a repeated name or
+    a generator or arrow end whose name gains a character, one that names
+    may hold or one that they may not (one that finds no record to change
+    leaves the document as it is)."""
     document = draw(LOADABLE_DOCUMENTS)
     gens, arrows = document["generators"], document["arrows"]
     names = [g["name"] for g in gens] or ["s0"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
-            ["retype", "drop", "record", "top", "duplicate", "loose", "repeat"]
+            ["retype", "drop", "record", "top", "duplicate", "loose", "repeat", "char"]
         ))
         records = draw(st.sampled_from([gens, arrows]))
         where = draw(st.integers(0, len(records)))
@@ -939,6 +946,12 @@ def mutated_documents(draw):
         elif kind == "repeat":
             gens.insert(where % (len(gens) + 1),
                         {"name": draw(st.sampled_from(names)), "alexander": 0, "maslov": 0})
+        elif kind == "char":
+            name = draw(st.sampled_from(names)) + draw(_NAME_CHARS)
+            if records is gens:
+                gens.insert(where, {"name": name, "alexander": 0, "maslov": 0})
+            else:
+                arrows.insert(where, {"from": name, "to": draw(st.sampled_from(names)), "upower": 0})
         elif where < len(records):
             record = records[where]
             if kind == "record":
